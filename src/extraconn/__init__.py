@@ -20,9 +20,9 @@ from .concentration import (
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
 from .extremal import (
-    Family,
     SplitIdentity,
     binary_decomposition,
+    ex,
     ex_enhanced,
     ex_hypercube,
     ex_upper_bound_check,
@@ -59,7 +59,6 @@ __all__ = [
     "ConcentrationReport",
     "CutSample",
     "DomainError",
-    "Family",
     "GraphSpec",
     "OracleResult",
     "RatioRow",
@@ -74,6 +73,7 @@ __all__ = [
     "concentration_report",
     "edge_count",
     "enumerate_connected_subsets",
+    "ex",
     "ex_bruteforce",
     "ex_enhanced",
     "ex_hypercube",

@@ -21,10 +21,11 @@ from .concentration import (
     lambda_at,
     lambda_profile,
     ratio_table,
+    suffix_minima,
     table2_breakpoints,
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import Family, xi
+from .extremal import ex, xi
 from .graphs import GraphSpec, adjacency_bitmap, pbm_text
 from .oracle import sample_cuts, xi_bruteforce_sweep
 
@@ -53,17 +54,6 @@ def _resolve_k(family: str | None, k: int | None) -> int | None:
             raise click.UsageError(f"--family {family} conflicts with --k {k}")
         return k
     return _FAMILY_KINDS[family or "q2"]
-
-
-def _closed_form_family(n: int, family: str | None, k: int | None) -> Family:
-    resolved = _resolve_k(family, k)
-    if resolved is None:
-        return Family.hypercube(n)
-    if resolved == 2:
-        return Family.enhanced(n)
-    raise DomainError(
-        f"no closed form for k={resolved}; supported families are qn (plain) and q2 (k=2)"
-    )
 
 
 def _graph_spec(n: int, family: str | None, k: int | None) -> GraphSpec:
@@ -101,7 +91,7 @@ def main():
 @_handle_errors
 def xi_cmd(n, family, k, m):
     """Minimum boundary over size-m sets with both sides connected."""
-    click.echo(str(xi(_closed_form_family(n, family, k), m)))
+    click.echo(str(xi(_graph_spec(n, family, k), m)))
 
 
 @main.command("ex")
@@ -112,7 +102,7 @@ def xi_cmd(n, family, k, m):
 @_handle_errors
 def ex_cmd(n, family, k, m):
     """Twice the maximum induced edge count over size-m sets."""
-    click.echo(str(_closed_form_family(n, family, k).ex(m)))
+    click.echo(str(ex(_graph_spec(n, family, k), m)))
 
 
 @main.command("lambda")
@@ -123,7 +113,7 @@ def ex_cmd(n, family, k, m):
 @_handle_errors
 def lambda_cmd(n, family, k, h):
     """Minimum cut leaving two connected components of at least h vertices."""
-    click.echo(str(lambda_at(_closed_form_family(n, family, k), h)))
+    click.echo(str(lambda_at(_graph_spec(n, family, k), h)))
 
 
 def _profile_csv(profile) -> str:
@@ -145,7 +135,8 @@ def _profile_json(profile) -> str:
         }
         for h in range(1, profile.half + 1)
     ]
-    return json.dumps({"n": profile.family.n, "family": profile.family.kind, "rows": rows}) + "\n"
+    kind = "hypercube" if profile.family.k is None else "enhanced"
+    return json.dumps({"n": profile.family.n, "family": kind, "rows": rows}) + "\n"
 
 
 @main.command("profile")
@@ -157,7 +148,7 @@ def _profile_json(profile) -> str:
 @_handle_errors
 def profile_cmd(n, family, k, out, fmt):
     """Full xi/lambda profile for 1 <= h <= 2^(n-1)."""
-    profile = lambda_profile(_closed_form_family(n, family, k))
+    profile = lambda_profile(_graph_spec(n, family, k))
     text = _profile_csv(profile) if fmt == "csv" else _profile_json(profile)
     _write_output(out, text)
 
@@ -223,15 +214,13 @@ def verify_cmd(n, family, k, mode, samples, seed):
     exact: exhaustive minima for every m (n <= 5). sample: seeded random
     cuts checked against the xi lower bound (n <= 12).
     """
-    fam = _closed_form_family(n, family, k)
-    spec = fam.graph_spec()
+    spec = _graph_spec(n, family, k)
+    ex(spec, 1)  # reject a family without a closed form before the oracle or sampler runs
     if mode == "exact":
-        half = fam.half
+        half = spec.half
         results = xi_bruteforce_sweep(spec, half)
-        suffix = [r.xi_exact for r in results]
-        for i in range(half - 2, -1, -1):
-            suffix[i] = min(suffix[i], suffix[i + 1])
-        profile = lambda_profile(fam)
+        suffix = suffix_minima([r.xi_exact for r in results])
+        profile = lambda_profile(spec)
         passed = 0
         for m in range(1, half + 1):
             ok = (
@@ -250,7 +239,7 @@ def verify_cmd(n, family, k, mode, samples, seed):
     else:
         violations = 0
         for cut in sample_cuts(spec, samples, seed):
-            if cut.cut_size < xi(fam, cut.h):
+            if cut.cut_size < xi(spec, cut.h):
                 violations += 1
         click.echo(f"violations: {violations}")
         if violations:

@@ -9,11 +9,14 @@ interval and are exactly the h values where lambda_h = xi_h.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import Family, xi
+from .extremal import xi
+from .graphs import MAX_DIMENSION, GraphSpec
 
 MAX_PROFILE_DIMENSION = 26
 
@@ -22,7 +25,7 @@ MAX_PROFILE_DIMENSION = 26
 class XiProfile:
     """xi and lambda for every 1 <= m <= 2^(n-1) of one family."""
 
-    family: Family
+    family: GraphSpec
     xi_values: tuple[int, ...]
     lambda_values: tuple[int, ...]
 
@@ -45,25 +48,35 @@ class XiProfile:
         return tuple(x == lam for x, lam in zip(self.xi_values, self.lambda_values))
 
 
-def lambda_profile(family: Family) -> XiProfile:
+def suffix_minima(values: Sequence[int]) -> tuple[int, ...]:
+    """out[i] = min(values[i:]), the lambda sequence of a xi sequence."""
+    return tuple(accumulate(reversed(values), min))[::-1]
+
+
+def lambda_profile(family: GraphSpec) -> XiProfile:
     """Materialize xi_1..xi_{2^(n-1)} and their suffix minima in one sweep."""
     if family.n > MAX_PROFILE_DIMENSION:
         raise ResourceLimitError(
             f"profiles are materialized only up to n={MAX_PROFILE_DIMENSION}; "
             f"use lambda_at for point queries"
         )
-    xs = [xi(family, m) for m in range(1, family.half + 1)]
-    lam = list(xs)
-    for i in range(len(lam) - 2, -1, -1):
-        if lam[i + 1] < lam[i]:
-            lam[i] = lam[i + 1]
-    return XiProfile(family, tuple(xs), tuple(lam))
+    xs = tuple(xi(family, m) for m in range(1, family.half + 1))
+    return XiProfile(family, xs, suffix_minima(xs))
 
 
-def lambda_at(family: Family, h: int) -> int:
-    """lambda_h = min xi_m over h <= m <= 2^(n-1), without storing the profile."""
+def lambda_at(family: GraphSpec, h: int) -> int:
+    """lambda_h = min xi_m over h <= m <= 2^(n-1), without storing the profile.
+
+    Scans the half - h + 1 values of xi, at most as many as a profile holds.
+    """
     if not 1 <= h <= family.half:
         raise DomainError(f"h={h} outside [1, 2^(n-1) = {family.half}]")
+    scan = family.half - h + 1
+    if scan > 1 << (MAX_PROFILE_DIMENSION - 1):
+        raise ResourceLimitError(
+            f"lambda_at scans at most 2^{MAX_PROFILE_DIMENSION - 1} values of xi; "
+            f"h={h} needs {scan}"
+        )
     return min(xi(family, m) for m in range(h, family.half + 1))
 
 
@@ -159,7 +172,7 @@ def concentration_report(n: int) -> ConcentrationReport:
             f"concentration_report needs n >= 9, got n={n}; "
             f"dimensions 4..8 are enumerated by table2_breakpoints"
         )
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     profile = lambda_profile(family)
     lo = h_min(n)
     half = family.half
@@ -220,8 +233,10 @@ def ratio_table(n_min: int, n_max: int) -> list[RatioRow]:
     g(n) = 2^(n-1) - ceil(11*2^(n-1)/48) + 1; the exact rational ratio
     converges to 37/48 from above as n grows.
     """
-    if not 4 <= n_min <= n_max <= 62:
-        raise DomainError(f"ratio_table needs 4 <= n_min <= n_max <= 62, got [{n_min}, {n_max}]")
+    if not 4 <= n_min <= n_max <= MAX_DIMENSION:
+        raise DomainError(
+            f"ratio_table needs 4 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]"
+        )
     rows = []
     for n in range(n_min, n_max + 1):
         half = 1 << (n - 1)

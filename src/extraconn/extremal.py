@@ -58,50 +58,18 @@ def ex_enhanced(n: int, m: int) -> int:
     return ex_hypercube(n, m) + wraps * half + 2 * max(rest - quarter, 0)
 
 
-@dataclass(frozen=True)
-class Family:
-    """A graph family with a closed-form ex: the plain n-cube or Q_{n,2}."""
-
-    kind: str
-    n: int
-
-    HYPERCUBE = "hypercube"
-    ENHANCED = "enhanced"
-
-    def __post_init__(self):
-        if self.kind not in (self.HYPERCUBE, self.ENHANCED):
-            raise DomainError(f"unknown family kind {self.kind!r}")
-        minimum = 3 if self.kind == self.ENHANCED else 2
-        if not isinstance(self.n, int) or self.n < minimum:
-            raise DomainError(f"{self.kind} family needs n >= {minimum}, got {self.n!r}")
-
-    @classmethod
-    def hypercube(cls, n: int) -> "Family":
-        return cls(cls.HYPERCUBE, n)
-
-    @classmethod
-    def enhanced(cls, n: int) -> "Family":
-        return cls(cls.ENHANCED, n)
-
-    @property
-    def degree(self) -> int:
-        return self.n if self.kind == self.HYPERCUBE else self.n + 1
-
-    @property
-    def half(self) -> int:
-        return 1 << (self.n - 1)
-
-    def graph_spec(self) -> GraphSpec:
-        """The matching concrete graph, for counting against the closed forms."""
-        return GraphSpec(self.n, None if self.kind == self.HYPERCUBE else 2)
-
-    def ex(self, m: int) -> int:
-        if self.kind == self.HYPERCUBE:
-            return ex_hypercube(self.n, m)
-        return ex_enhanced(self.n, m)
+def ex(spec: GraphSpec, m: int) -> int:
+    """ex_m of the spec's graph; only Q_n and Q_{n,2} have a closed form."""
+    if spec.k is None:
+        return ex_hypercube(spec.n, m)
+    if spec.k == 2:
+        return ex_enhanced(spec.n, m)
+    raise DomainError(
+        f"no closed form for k={spec.k}; supported families are qn (plain) and q2 (k=2)"
+    )
 
 
-def xi(family: Family, m: int) -> int:
+def xi(family: GraphSpec, m: int) -> int:
     """Minimum boundary over size-m sets with both sides connected.
 
     Defined only up to half the vertices; larger m is rejected rather than
@@ -109,7 +77,7 @@ def xi(family: Family, m: int) -> int:
     """
     if not 1 <= m <= family.half:
         raise DomainError(f"xi is defined for 1 <= m <= 2^(n-1) = {family.half}, got m={m}")
-    return family.degree * m - family.ex(m)
+    return family.degree * m - ex(family, m)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,11 @@ class GraphSpec:
         return 1 << self.n
 
     @property
+    def half(self) -> int:
+        """2^(n-1), the largest smaller side of a cut."""
+        return 1 << (self.n - 1)
+
+    @property
     def degree(self) -> int:
         """Regularity: n for the plain hypercube, n+1 with complementary edges."""
         return self.n if self.k is None else self.n + 1
@@ -53,6 +59,15 @@ class GraphSpec:
         if self.k is None:
             return None
         return (1 << (self.n - self.k + 1)) - 1
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The edge definition: u and v are adjacent iff u ^ v is one of these.
+
+        The n single-bit dimension masks, then the complement mask when k is set.
+        """
+        dimensions = tuple(1 << j for j in range(self.n))
+        return dimensions if self.k is None else dimensions + (self.complement_mask,)
 
 
 def _check_vertex(spec: GraphSpec, v: int) -> None:
@@ -66,11 +81,7 @@ def _check_subset(spec: GraphSpec, members: frozenset[int]) -> None:
 
 
 def _neighbor_iter(spec: GraphSpec, v: int) -> Iterator[int]:
-    for j in range(spec.n):
-        yield v ^ (1 << j)
-    mask = spec.complement_mask
-    if mask is not None:
-        yield v ^ mask
+    return (v ^ g for g in spec.generators)
 
 
 def neighbors(spec: GraphSpec, v: int) -> frozenset[int]:
@@ -149,11 +160,9 @@ def adjacency_bitmap(spec: GraphSpec) -> np.ndarray:
         raise ResourceLimitError(
             f"adjacency bitmap needs n <= {MAX_BITMAP_DIMENSION}, got n={spec.n}"
         )
-    size = spec.num_vertices
-    bitmap = np.zeros((size, size), dtype=np.uint8)
-    for v in range(size):
-        for u in _neighbor_iter(spec, v):
-            bitmap[v, u] = 1
+    v = np.arange(spec.num_vertices)[:, None]
+    bitmap = np.zeros((spec.num_vertices, spec.num_vertices), dtype=np.uint8)
+    bitmap[v, v ^ np.array(spec.generators)] = 1
     return bitmap
 
 
@@ -164,7 +173,7 @@ def pbm_text(bitmap: np.ndarray) -> str:
     y as space-separated 0/1 digits, pixel (x, y) being the adjacency of
     vertices x and y.
     """
-    height, width = bitmap.shape
+    width, height = bitmap.shape
     lines = ["P1", f"{width} {height}"]
     for y in range(height):
         lines.append(" ".join(str(int(v)) for v in bitmap[:, y]))

@@ -65,17 +65,15 @@ def _resolve_budget(budget: int | None) -> int:
 
 
 @lru_cache(maxsize=None)
-def _neighbor_masks(n: int, k: int | None) -> tuple[int, ...]:
-    spec = GraphSpec(n, k)
-    masks = []
-    for v in range(spec.num_vertices):
-        mask = 0
-        for j in range(n):
-            mask |= 1 << (v ^ (1 << j))
-        if spec.complement_mask is not None:
-            mask |= 1 << (v ^ spec.complement_mask)
-        masks.append(mask)
-    return tuple(masks)
+def _neighbor_masks(spec: GraphSpec) -> tuple[int, ...]:
+    return tuple(sum(1 << (v ^ g) for g in spec.generators) for v in range(spec.num_vertices))
+
+
+def _check_exhaustive(spec: GraphSpec) -> None:
+    if spec.n > MAX_EXHAUSTIVE_DIMENSION:
+        raise DomainError(
+            f"exhaustive search is limited to n <= {MAX_EXHAUSTIVE_DIMENSION}, got n={spec.n}"
+        )
 
 
 def _mask_connected(mask: int, nbr: tuple[int, ...]) -> bool:
@@ -119,13 +117,10 @@ def enumerate_connected_subsets(
     spec: GraphSpec, m: int, budget: int | None = None
 ) -> Iterator[frozenset[int]]:
     """Yield every size-m vertex set inducing a connected subgraph, once each."""
-    if spec.n > MAX_EXHAUSTIVE_DIMENSION:
-        raise DomainError(
-            f"exhaustive enumeration is limited to n <= {MAX_EXHAUSTIVE_DIMENSION}, got n={spec.n}"
-        )
+    _check_exhaustive(spec)
     if not 1 <= m <= spec.num_vertices:
         raise DomainError(f"cardinality m={m} outside [1, 2^{spec.n}]")
-    nbr = _neighbor_masks(spec.n, spec.k)
+    nbr = _neighbor_masks(spec)
     limit = _resolve_budget(budget)
     steps = 0
     for v in range(spec.num_vertices):
@@ -165,14 +160,10 @@ def xi_bruteforce_sweep(
     minimum is attained by the recorded witness, whose two sides were both
     checked connected.
     """
-    if spec.n > MAX_EXHAUSTIVE_DIMENSION:
-        raise DomainError(
-            f"exhaustive search is limited to n <= {MAX_EXHAUSTIVE_DIMENSION}, got n={spec.n}"
-        )
-    half = spec.num_vertices // 2
-    if not 1 <= m_max <= half:
-        raise DomainError(f"cardinality m_max={m_max} outside [1, 2^(n-1) = {half}]")
-    nbr = _neighbor_masks(spec.n, spec.k)
+    _check_exhaustive(spec)
+    if not 1 <= m_max <= spec.half:
+        raise DomainError(f"cardinality m_max={m_max} outside [1, 2^(n-1) = {spec.half}]")
+    nbr = _neighbor_masks(spec)
     degree = spec.degree
     full = (1 << spec.num_vertices) - 1
     limit = _resolve_budget(budget)
@@ -248,10 +239,9 @@ def lambda_bruteforce(spec: GraphSpec, h: int, budget: int | None = None) -> int
     Valid because a minimum cut meeting the size constraint leaves exactly
     two components, one of which has some size m in that range.
     """
-    half = spec.num_vertices // 2
-    if not 1 <= h <= half:
-        raise DomainError(f"h={h} outside [1, 2^(n-1) = {half}]")
-    results = xi_bruteforce_sweep(spec, half, budget)
+    if not 1 <= h <= spec.half:
+        raise DomainError(f"h={h} outside [1, 2^(n-1) = {spec.half}]")
+    results = xi_bruteforce_sweep(spec, spec.half, budget)
     return min(result.xi_exact for result in results[h - 1 :])
 
 
@@ -262,13 +252,10 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
     connected sets only (the maximizer is connected for these graphs, and
     the all-subset space is out of reach).
     """
-    if spec.n > MAX_EXHAUSTIVE_DIMENSION:
-        raise DomainError(
-            f"exhaustive search is limited to n <= {MAX_EXHAUSTIVE_DIMENSION}, got n={spec.n}"
-        )
+    _check_exhaustive(spec)
     if not 1 <= m <= spec.num_vertices:
         raise DomainError(f"cardinality m={m} outside [1, 2^{spec.n}]")
-    nbr = _neighbor_masks(spec.n, spec.k)
+    nbr = _neighbor_masks(spec)
     degree = spec.degree
 
     if spec.n <= MAX_ALL_SUBSET_DIMENSION:
@@ -351,18 +338,17 @@ def sample_cuts(
         )
     if samples < 0:
         raise DomainError(f"sample count must be nonnegative, got {samples}")
-    nbr = _neighbor_masks(spec.n, spec.k)
-    adjacency = tuple(tuple(sorted(_members(mask))) for mask in nbr)
-    degree = spec.degree
+    nbr = _neighbor_masks(spec)
     total = spec.num_vertices
-    half = total // 2
+    adjacency = tuple(tuple(sorted(v ^ g for g in spec.generators)) for v in range(total))
+    degree = spec.degree
     full = (1 << total) - 1
     rng = random.Random(seed)
     walk_cap = 64 * degree
 
     for _ in range(samples):
         for _attempt in range(max_retries):
-            target = rng.randint(1, half)
+            target = rng.randint(1, spec.half)
             current = rng.randrange(total)
             mask = 1 << current
             size = 1

@@ -15,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 from extraconn import (
-    Family,
     GraphSpec,
     boundary_size,
     breakpoints,
@@ -162,7 +161,7 @@ def test_criterion_5_oracle_equivalence(q52_sweep):
     with criterion(5, "oracle equivalence n=4,5"):
         start4 = time.monotonic()
         results4 = xi_bruteforce_sweep(GraphSpec(4, 2), 8)
-        family4 = Family.enhanced(4)
+        family4 = GraphSpec(4, 2)
         for result in results4:
             assert result.xi_exact == xi(family4, result.m)
         profile4 = lambda_profile(family4)
@@ -172,7 +171,7 @@ def test_criterion_5_oracle_equivalence(q52_sweep):
         assert elapsed4 < 1.0
 
         results5, elapsed5 = q52_sweep
-        family5 = Family.enhanced(5)
+        family5 = GraphSpec(5, 2)
         assert [r.xi_exact for r in results5] == [xi(family5, m) for m in range(1, 17)]
         # exact lambda: suffix minima of the exact xi values
         suffix = [r.xi_exact for r in results5]
@@ -223,7 +222,7 @@ def test_criterion_7_property_suites():
         # (c = n-2 is refuted by the tabled values: the quarter point has
         # boundary 3*2^(n-2), above the 2^(n-1) top value)
         for n in range(4, 13):
-            family = Family.enhanced(n)
+            family = GraphSpec(n, 2)
             values = [xi(family, m) for m in range(1, family.half + 1)]
             for c in range(n - 2):
                 floor = values[(1 << c) - 1]
@@ -233,7 +232,7 @@ def test_criterion_7_property_suites():
 
         # breakpoints hit the constant, everything between exceeds it
         for n in range(9, 15):
-            family = Family.enhanced(n)
+            family = GraphSpec(n, 2)
             half = 1 << (n - 1)
             points = set(breakpoints(n).values)
             for point in points:
@@ -271,7 +270,7 @@ def test_criterion_8_sampled_cuts_lower_bound():
     with criterion(8, "sampled cuts lower bound"):
         start = time.monotonic()
         spec = GraphSpec(5, 2)
-        family = Family.enhanced(5)
+        family = GraphSpec(5, 2)
         bounds = {h: xi(family, h) for h in range(1, 17)}
         below = 0
         observed_h6 = set()

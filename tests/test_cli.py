@@ -36,6 +36,17 @@ def test_usage_error_exit_2(runner):
 def test_family_without_closed_form_exit_1(runner):
     assert runner.invoke(main, ["xi", "--n", "5", "--family", "fqn", "--m", "3"]).exit_code == 1
     assert runner.invoke(main, ["xi", "--n", "6", "--k", "3", "--m", "3"]).exit_code == 1
+    assert runner.invoke(main, ["lambda", "--n", "6", "--k", "3", "--h", "3"]).exit_code == 1
+    assert runner.invoke(main, ["profile", "--n", "6", "--k", "3"]).exit_code == 1
+    for mode in ("exact", "sample"):
+        result = runner.invoke(main, ["verify", "--n", "4", "--family", "fqn", "--mode", mode])
+        assert result.exit_code == 1
+        assert "no closed form" in result.output
+
+
+def test_closed_forms_share_dimension_cap(runner):
+    assert runner.invoke(main, ["xi", "--n", "62", "--family", "qn", "--m", "1"]).output == "62\n"
+    assert runner.invoke(main, ["xi", "--n", "63", "--family", "qn", "--m", "1"]).exit_code == 1
 
 
 def test_plain_family(runner):
@@ -53,6 +64,13 @@ def test_lambda_command(runner):
     result = runner.invoke(main, ["lambda", "--n", "7", "--family", "q2", "--h", "16"])
     assert result.exit_code == 0
     assert result.output == "64\n"
+
+
+def test_lambda_long_scan_exit_1(runner):
+    assert runner.invoke(main, ["lambda", "--n", "40", "--h", "1"]).exit_code == 1
+    result = runner.invoke(main, ["lambda", "--n", "40", "--h", "549755813888"])
+    assert result.exit_code == 0
+    assert result.output == "549755813888\n"
 
 
 def test_profile_matches_fixture(runner, tmp_path):
@@ -86,6 +104,9 @@ def test_profile_json(runner):
     assert payload["n"] == 4
     assert payload["rows"][0] == {"h": 1, "xi": 5, "lambda": 5, "optimal": True}
     assert len(payload["rows"]) == 8
+    for family, kind in (("qn", "hypercube"), ("q2", "enhanced")):
+        result = runner.invoke(main, ["profile", "--n", "4", "--family", family, "--format", "json"])
+        assert f'"family": "{kind}"' in result.output
 
 
 def test_breakpoints_command(runner):

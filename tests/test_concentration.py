@@ -6,7 +6,7 @@ import pytest
 import extraconn.concentration
 from extraconn import (
     DomainError,
-    Family,
+    GraphSpec,
     ResourceLimitError,
     VerificationError,
     breakpoints,
@@ -21,17 +21,17 @@ from extraconn import (
 
 
 def test_profile_small_values():
-    profile = lambda_profile(Family.enhanced(4))
+    profile = lambda_profile(GraphSpec(4, 2))
     assert profile.lambda_values == (5, 8, 8, 8, 8, 8, 8, 8)
-    profile5 = lambda_profile(Family.enhanced(5))
+    profile5 = lambda_profile(GraphSpec(5, 2))
     assert profile5.xi_values[:4] == (6, 10, 14, 16)
-    profile9 = lambda_profile(Family.enhanced(9))
+    profile9 = lambda_profile(GraphSpec(9, 2))
     assert profile9.lambda_at(58) == 254
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_suffix_minimum_recurrence(n):
-    profile = lambda_profile(Family.enhanced(n))
+    profile = lambda_profile(GraphSpec(n, 2))
     half = profile.half
     assert profile.lambda_values[half - 1] == profile.xi_values[half - 1]
     for h in range(1, half):
@@ -40,7 +40,7 @@ def test_suffix_minimum_recurrence(n):
 
 
 def test_profile_index_bounds():
-    profile = lambda_profile(Family.enhanced(4))
+    profile = lambda_profile(GraphSpec(4, 2))
     with pytest.raises(DomainError):
         profile.xi_at(0)
     with pytest.raises(DomainError):
@@ -49,20 +49,43 @@ def test_profile_index_bounds():
 
 def test_profile_rejects_huge_dimension():
     with pytest.raises(ResourceLimitError):
-        lambda_profile(Family.enhanced(27))
+        lambda_profile(GraphSpec(27, 2))
 
 
 def test_lambda_at_examples():
-    assert lambda_at(Family.enhanced(7), 16) == 64
-    assert lambda_at(Family.enhanced(9), 256) == 256
-    assert lambda_at(Family.enhanced(5), 4) == 16
+    assert lambda_at(GraphSpec(7, 2), 16) == 64
+    assert lambda_at(GraphSpec(9, 2), 256) == 256
+    assert lambda_at(GraphSpec(5, 2), 4) == 16
     with pytest.raises(DomainError):
-        lambda_at(Family.enhanced(5), 17)
+        lambda_at(GraphSpec(5, 2), 17)
+
+
+def test_lambda_at_scan_is_bounded_like_a_profile():
+    # a scan longer than the largest profile (2^25 values) is refused at once
+    with pytest.raises(ResourceLimitError):
+        lambda_at(GraphSpec(40, 2), 1)
+    with pytest.raises(ResourceLimitError):
+        lambda_at(GraphSpec(27, 2), 1 << 25)  # 2^26 - 2^25 + 1 values
+    # h near the top still answers, however large n is
+    assert lambda_at(GraphSpec(40, 2), 1 << 39) == 1 << 39
+    top = GraphSpec(62)
+    assert lambda_at(top, top.half - 3) == min(xi(top, m) for m in range(top.half - 3, top.half + 1))
+
+
+def test_suffix_minima_matches_loop():
+    rng = random.Random(5)
+    for length in (1, 2, 7, 100):
+        values = [rng.randint(-20, 20) for _ in range(length)]
+        expected = list(values)
+        for i in range(len(expected) - 2, -1, -1):
+            if expected[i + 1] < expected[i]:
+                expected[i] = expected[i + 1]
+        assert extraconn.concentration.suffix_minima(values) == tuple(expected)
 
 
 @pytest.mark.parametrize("n", range(3, 15))
 def test_lambda_at_matches_profile(n):
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     profile = lambda_profile(family)
     rng = random.Random(n)
     candidates = range(1, family.half + 1)
@@ -112,14 +135,14 @@ def test_table2_breakpoints():
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_breakpoints_hit_the_constant(n):
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     for value in breakpoints(n).values:
         assert xi(family, value) == 1 << (n - 1)
 
 
 @pytest.mark.parametrize("n", range(9, 15))
 def test_strictly_above_constant_off_breakpoints(n):
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     half = 1 << (n - 1)
     points = set(breakpoints(n).values)
     for m in range(h_min(n), half + 1):
@@ -173,7 +196,7 @@ def test_concentration_report_raises_on_bad_values(monkeypatch):
 @pytest.mark.parametrize("n", range(9, 21))
 def test_tightness_gap_below_interval(n):
     # xi drops by 1 (even n) or 2 (odd n) one step below the interval
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     lo = h_min(n)
     gap = 2 if n % 2 else 1
     assert xi(family, lo) - xi(family, lo - 1) == gap
@@ -196,7 +219,7 @@ def test_ratio_rows():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_g_counts_constant_lambda_entries(n):
-    profile = lambda_profile(Family.enhanced(n))
+    profile = lambda_profile(GraphSpec(n, 2))
     half = 1 << (n - 1)
     count = sum(1 for value in profile.lambda_values if value == half)
     assert count == ratio_table(n, n)[0].g

@@ -4,7 +4,6 @@ import pytest
 
 from extraconn import (
     DomainError,
-    Family,
     GraphSpec,
     binary_decomposition,
     ex_enhanced,
@@ -100,33 +99,29 @@ def test_ex_enhanced_upper_range_matches_graph_counts():
 
 
 def test_xi_values():
-    assert xi(Family.enhanced(5), 6) == 22
-    assert xi(Family.enhanced(4), 8) == 8
-    assert xi(Family.enhanced(9), 256) == 256
-    assert xi(Family.hypercube(4), 8) == 8
+    assert xi(GraphSpec(5, 2), 6) == 22
+    assert xi(GraphSpec(4, 2), 8) == 8
+    assert xi(GraphSpec(9, 2), 256) == 256
+    assert xi(GraphSpec(4), 8) == 8
 
 
 def test_xi_rejects_above_half():
     with pytest.raises(DomainError):
-        xi(Family.enhanced(5), 17)
+        xi(GraphSpec(5, 2), 17)
     with pytest.raises(DomainError):
-        xi(Family.enhanced(5), 0)
+        xi(GraphSpec(5, 2), 0)
 
 
 def test_xi_at_half_is_half():
     for n in range(9, 21):
-        assert xi(Family.enhanced(n), 1 << (n - 1)) == 1 << (n - 1)
+        assert xi(GraphSpec(n, 2), 1 << (n - 1)) == 1 << (n - 1)
 
 
 def test_family_validation():
     with pytest.raises(DomainError):
-        Family.enhanced(2)
-    with pytest.raises(DomainError):
-        Family("weird", 5)
-    assert Family.hypercube(6).degree == 6
-    assert Family.enhanced(6).degree == 7
-    assert Family.enhanced(6).graph_spec() == GraphSpec(6, 2)
-    assert Family.hypercube(6).graph_spec() == GraphSpec(6)
+        GraphSpec(2, 2)
+    assert GraphSpec(6).degree == 6
+    assert GraphSpec(6, 2).degree == 7
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -202,7 +197,7 @@ def test_monotone_floor_at_powers(n):
     # xi_m >= xi_{2^c} whenever 2^c <= m <= 2^(n-1), for c up to n-3; the
     # c = n-3 floor is 4*2^(n-3) = 2^(n-1), the constant of the whole
     # concentration interval
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     values = [xi(family, m) for m in range(1, family.half + 1)]
     for c in range(0, n - 2):
         floor = values[(1 << c) - 1]
@@ -214,6 +209,6 @@ def test_monotone_floor_at_powers(n):
 def test_monotone_floor_breaks_at_second_highest_power(n):
     # the floor property cannot extend to c = n-2: the quarter point has
     # boundary 3*2^(n-2), above the 2^(n-1) value at the half point
-    family = Family.enhanced(n)
+    family = GraphSpec(n, 2)
     assert xi(family, 1 << (n - 2)) == 3 * (1 << (n - 2))
     assert xi(family, family.half) == family.half < 3 * (1 << (n - 2))

@@ -152,6 +152,29 @@ def test_adjacency_bitmap_structure():
     assert (bmp7.sum(axis=1) == 8).all()
 
 
+def _bitmap_loop(spec):
+    # reference: one vertex at a time, edges spelled out from the definition
+    size = 1 << spec.n
+    bitmap = np.zeros((size, size), dtype=np.uint8)
+    for v in range(size):
+        for j in range(spec.n):
+            bitmap[v, v ^ (1 << j)] = 1
+        if spec.k is not None:
+            bitmap[v, v ^ ((1 << (spec.n - spec.k + 1)) - 1)] = 1
+    return bitmap
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_adjacency_bitmap_matches_loop(n):
+    for k in (None, 1, 2, n - 1):
+        if k is not None and k >= n:
+            continue
+        spec = GraphSpec(n, k)
+        bitmap = adjacency_bitmap(spec)
+        assert bitmap.dtype == np.uint8
+        assert np.array_equal(bitmap, _bitmap_loop(spec))
+
+
 def test_adjacency_bitmap_rejects_large():
     with pytest.raises(ResourceLimitError):
         adjacency_bitmap(GraphSpec(14, 2))
@@ -183,3 +206,10 @@ def test_pbm_round_trip(tmp_path):
         assert values == [int(bmp[x, y]) for x in range(8)]
     # repeated serialization is byte-identical
     assert pbm_text(bmp) == path.read_text()
+
+
+def test_pbm_non_square():
+    # pixel (x, y) is bitmap[x, y]: the first axis is the width
+    bitmap = np.array([[0, 1, 1], [0, 0, 1]])
+    assert pbm_text(bitmap) == "P1\n2 3\n0 0\n1 0\n1 1\n"
+    assert pbm_text(bitmap.T) == "P1\n3 2\n0 1 1\n0 0 1\n"

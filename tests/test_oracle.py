@@ -2,7 +2,6 @@ import pytest
 
 from extraconn import (
     DomainError,
-    Family,
     GraphSpec,
     ResourceLimitError,
     boundary_size,
@@ -90,7 +89,7 @@ def test_oracle_matches_formula_plain(n):
 
 def test_oracle_matches_formula_enhanced_n4():
     spec = GraphSpec(4, 2)
-    family = Family.enhanced(4)
+    family = GraphSpec(4, 2)
     for result in xi_bruteforce_sweep(spec, 8):
         assert result.xi_exact == xi(family, result.m)
 
@@ -98,7 +97,7 @@ def test_oracle_matches_formula_enhanced_n4():
 def test_oracle_matches_formula_enhanced_n5_prefix():
     # the full m range is covered by the acceptance suite; keep this quick
     spec = GraphSpec(5, 2)
-    family = Family.enhanced(5)
+    family = GraphSpec(5, 2)
     for result in xi_bruteforce_sweep(spec, 6):
         assert result.xi_exact == xi(family, result.m)
 
@@ -119,7 +118,7 @@ def test_pruned_search_agrees_with_plain_enumeration():
 def test_lambda_bruteforce():
     spec = GraphSpec(4, 2)
     assert lambda_bruteforce(spec, 3) == 8
-    profile = lambda_profile(Family.enhanced(4))
+    profile = lambda_profile(GraphSpec(4, 2))
     for h in range(1, 9):
         assert lambda_bruteforce(spec, h) == profile.lambda_at(h)
     with pytest.raises(DomainError):
@@ -160,7 +159,7 @@ def test_sample_cuts_deterministic():
 
 def test_sample_cuts_respect_lower_bound():
     spec = GraphSpec(5, 2)
-    family = Family.enhanced(5)
+    family = GraphSpec(5, 2)
     cuts = list(sample_cuts(spec, 2000, seed=9))
     assert cuts
     for cut in cuts:
