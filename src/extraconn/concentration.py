@@ -91,22 +91,22 @@ class Breakpoints:
 
 def h_min(n: int) -> int:
     """ceil(11 * 2^(n-1) / 48), the lower end of the constant-lambda interval."""
-    if n < 4:
-        raise DomainError(f"h_min needs n >= 4, got n={n}")
+    if not 4 <= n <= MAX_DIMENSION:
+        raise DomainError(f"h_min needs 4 <= n <= {MAX_DIMENSION}, got n={n}")
     return (11 * (1 << (n - 1)) + 47) // 48
 
 
 def breakpoints(n: int) -> Breakpoints:
-    """Breakpoint values for n >= 9, from the four-range definition.
+    """Breakpoint values for 9 <= n <= 62, from the four-range definition.
 
     With f the parity flag of n and r running to ceil(n/2)-1: the early
     values add a three-term leading block, a geometric middle block and a
     single low power 2^(2r-1-f); the last three values are the fixed
     patterns summing four leading powers, 2^(n-3), and 2^(n-1).
     """
-    if n < 9:
+    if not 9 <= n <= MAX_DIMENSION:
         raise DomainError(
-            f"breakpoints(n) needs n >= 9, got n={n}; "
+            f"breakpoints(n) needs 9 <= n <= {MAX_DIMENSION}, got n={n}; "
             f"dimensions 4..8 are enumerated by table2_breakpoints"
         )
     f = n & 1

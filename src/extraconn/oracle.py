@@ -6,11 +6,20 @@ formula modules on small instances. Subsets are carried as integer bit
 masks (bit v set means vertex v is in), which keeps the inner loops at a
 few machine-word operations per step.
 
-Enumeration is canonical: a connected set is grown only from its
-minimum-id vertex, and candidate vertices removed at one branching level
-stay excluded from the whole subtree, so every connected set is produced
-exactly once. An extension-step budget (default 10^9, overridable through
-the EXTRACONN_BUDGET environment variable) aborts runaway searches.
+Connected sets are grown by canonical extension: candidate vertices
+removed at one branching level stay excluded from the whole subtree, so
+no set is produced twice. enumerate_connected_subsets grows every set from
+its minimum-id vertex and so yields each connected set exactly once.
+
+The minimum and maximum searches grow from vertex 0 only. For any vertex
+a, x -> x ^ a leaves every u ^ v unchanged, so it maps edges (XOR by a
+generator) to edges and is an automorphism of every Q_{n,k}. For any a in
+S the set S ^ a contains 0 and has the same size, boundary, induced edges
+and connectivity on both sides, so every extremum is attained by a set
+containing vertex 0.
+
+An extension-step budget (default 10^9, overridable through the
+EXTRACONN_BUDGET environment variable) aborts runaway searches.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import GraphSpec
@@ -62,6 +72,10 @@ def _resolve_budget(budget: int | None) -> int:
         return int(env)
     except ValueError as exc:
         raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
+
+
+def _over_budget(limit: int) -> ResourceLimitError:
+    return ResourceLimitError(f"search exceeded the {limit} extension-step budget")
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +150,7 @@ def enumerate_connected_subsets(
                 ext ^= wbit
                 steps += 1
                 if steps > limit:
-                    raise ResourceLimitError(
-                        f"enumeration exceeded the {limit} extension-step budget"
-                    )
+                    raise _over_budget(limit)
                 grown = sub | wbit
                 if size + 1 == m:
                     yield _members(grown)
@@ -152,13 +164,13 @@ def xi_bruteforce_sweep(
 ) -> list[OracleResult]:
     """Exact minimum boundaries for every 1 <= m <= m_max, in one search.
 
-    Branch and bound over the canonical enumeration tree. A branch is cut
-    only when no descendant of any remaining size can beat an already
-    proven boundary (each added vertex changes the boundary by at least
-    -degree), so the minima are exact. Incumbents start from the
-    lexicographic segments, counted directly in the graph; every reported
-    minimum is attained by the recorded witness, whose two sides were both
-    checked connected.
+    Branch and bound over the connected sets grown from vertex 0, which
+    by translation attain every minimum. A branch is cut only when no
+    descendant of any remaining size can beat an already proven boundary
+    (each added vertex changes the boundary by at least -degree), so the
+    minima are exact. Incumbents start from the lexicographic segments,
+    counted directly in the graph; every reported minimum is attained by
+    the recorded witness, whose two sides were both checked connected.
     """
     _check_exhaustive(spec)
     if not 1 <= m_max <= spec.half:
@@ -188,38 +200,25 @@ def xi_bruteforce_sweep(
 
     thr = thresholds()
     steps = 0
-    stack: list[tuple[int, int, int, int, int]] = []
-    for v in range(spec.num_vertices):
-        vbit = 1 << v
-        if degree < best[1] and _mask_connected(full ^ vbit, nbr):
-            best[1] = degree
-            witness[1] = vbit
-            thr = thresholds()
-        if m_max > 1 and degree < thr[1]:
-            above = -(1 << (v + 1))
-            stack.append((vbit, nbr[v] & above, nbr[v] | vbit, 1, degree))
-            while stack:
-                sub, ext, seen, size, bound = stack.pop()
-                grown_size = size + 1
-                while ext:
-                    wbit = ext & -ext
-                    ext ^= wbit
-                    steps += 1
-                    if steps > limit:
-                        raise ResourceLimitError(
-                            f"search exceeded the {limit} extension-step budget"
-                        )
-                    wnbr = nbr[wbit.bit_length() - 1]
-                    grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
-                    grown = sub | wbit
-                    if grown_bound < best[grown_size] and _mask_connected(full ^ grown, nbr):
-                        best[grown_size] = grown_bound
-                        witness[grown_size] = grown
-                        thr = thresholds()
-                    if grown_size < m_max and grown_bound < thr[grown_size]:
-                        stack.append(
-                            (grown, ext | (wnbr & ~seen & above), seen | wnbr, grown_size, grown_bound)
-                        )
+    stack = [(1, nbr[0], nbr[0] | 1, 1, degree)] if m_max > 1 else []
+    while stack:
+        sub, ext, seen, size, bound = stack.pop()
+        grown_size = size + 1
+        while ext:
+            wbit = ext & -ext
+            ext ^= wbit
+            steps += 1
+            if steps > limit:
+                raise _over_budget(limit)
+            wnbr = nbr[wbit.bit_length() - 1]
+            grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
+            grown = sub | wbit
+            if grown_bound < best[grown_size] and _mask_connected(full ^ grown, nbr):
+                best[grown_size] = grown_bound
+                witness[grown_size] = grown
+                thr = thresholds()
+            if grown_size < m_max and grown_bound < thr[grown_size]:
+                stack.append((grown, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_bound))
     results = []
     for m in range(1, m_max + 1):
         if witness[m] is None:
@@ -248,27 +247,26 @@ def lambda_bruteforce(spec: GraphSpec, h: int, budget: int | None = None) -> int
 def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
     """Exact ex_m: twice the maximum induced edge count over size-m sets.
 
-    Up to n=4 every subset is swept; at n=5 the maximum is taken over
-    connected sets only (the maximizer is connected for these graphs, and
-    the all-subset space is out of reach).
+    Only sets containing vertex 0 are searched, which by translation
+    attain the maximum. Up to n=4 every such subset is swept; at n=5 the
+    maximum is taken over connected sets only (the maximizer is connected
+    for these graphs, and the all-subset space is out of reach).
     """
     _check_exhaustive(spec)
     if not 1 <= m <= spec.num_vertices:
         raise DomainError(f"cardinality m={m} outside [1, 2^{spec.n}]")
     nbr = _neighbor_masks(spec)
     degree = spec.degree
+    limit = _resolve_budget(budget)
+    steps = 0
 
     if spec.n <= MAX_ALL_SUBSET_DIMENSION:
-        from itertools import combinations
-
-        limit = _resolve_budget(budget)
-        steps = 0
         top = 0
-        for combo in combinations(range(spec.num_vertices), m):
+        for combo in combinations(range(1, spec.num_vertices), m - 1):
             steps += 1
             if steps > limit:
-                raise ResourceLimitError(f"sweep exceeded the {limit} step budget")
-            mask = 0
+                raise _over_budget(limit)
+            mask = 1
             for v in combo:
                 mask |= 1 << v
             doubled = degree * m - _mask_boundary(mask, nbr, degree)
@@ -283,37 +281,25 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
     allowance = [0] * (m + 1)
     for j in range(m - 1, 0, -1):
         allowance[j] = allowance[j + 1] + 2 * min(j, degree)
-    limit = _resolve_budget(budget)
-    steps = 0
-    for v in range(spec.num_vertices):
-        if m == 1:
-            break
-        above = -(1 << (v + 1))
-        stack = [(1 << v, nbr[v] & above, nbr[v] | (1 << v), 1, 0)]
-        while stack:
-            sub, ext, seen, size, doubled = stack.pop()
-            grown_size = size + 1
-            while ext:
-                wbit = ext & -ext
-                ext ^= wbit
-                steps += 1
-                if steps > limit:
-                    raise ResourceLimitError(f"search exceeded the {limit} step budget")
-                wnbr = nbr[wbit.bit_length() - 1]
-                grown_doubled = doubled + 2 * (wnbr & sub).bit_count()
-                if grown_size == m:
-                    if grown_doubled > top:
-                        top = grown_doubled
-                elif grown_doubled + allowance[grown_size] > top:
-                    stack.append(
-                        (
-                            sub | wbit,
-                            ext | (wnbr & ~seen & above),
-                            seen | wnbr,
-                            grown_size,
-                            grown_doubled,
-                        )
-                    )
+    stack = [(1, nbr[0], nbr[0] | 1, 1, 0)] if m > 1 else []
+    while stack:
+        sub, ext, seen, size, doubled = stack.pop()
+        grown_size = size + 1
+        while ext:
+            wbit = ext & -ext
+            ext ^= wbit
+            steps += 1
+            if steps > limit:
+                raise _over_budget(limit)
+            wnbr = nbr[wbit.bit_length() - 1]
+            grown_doubled = doubled + 2 * (wnbr & sub).bit_count()
+            if grown_size == m:
+                if grown_doubled > top:
+                    top = grown_doubled
+            elif grown_doubled + allowance[grown_size] > top:
+                stack.append(
+                    (sub | wbit, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_doubled)
+                )
     return top
 
 

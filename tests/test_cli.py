@@ -113,6 +113,9 @@ def test_breakpoints_command(runner):
     assert runner.invoke(main, ["breakpoints", "--n", "9"]).output == "59 60 64 256\n"
     assert runner.invoke(main, ["breakpoints", "--n", "5"]).output == "4 16\n"
     assert runner.invoke(main, ["breakpoints", "--n", "3"]).exit_code == 1
+    result = runner.invoke(main, ["breakpoints", "--n", "63"])
+    assert result.exit_code == 1
+    assert result.output.startswith("error:")
 
 
 def test_concentration_command(runner):

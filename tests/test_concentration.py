@@ -100,6 +100,8 @@ def test_h_min_values():
     assert h_min(18) == 30038
     with pytest.raises(DomainError):
         h_min(3)
+    with pytest.raises(DomainError):
+        h_min(63)
 
 
 def test_breakpoints_tables():
@@ -110,6 +112,9 @@ def test_breakpoints_tables():
     assert breakpoints(10).f == 0
     with pytest.raises(DomainError):
         breakpoints(8)
+    assert breakpoints(62).values[-1] == 1 << 61
+    with pytest.raises(DomainError):
+        breakpoints(63)
 
 
 @pytest.mark.parametrize("n", range(9, 41))

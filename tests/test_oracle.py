@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from extraconn import (
@@ -9,6 +11,7 @@ from extraconn import (
     ex_bruteforce,
     ex_enhanced,
     ex_hypercube,
+    induced_double_edge_count,
     is_connected_subset,
     lambda_bruteforce,
     lambda_profile,
@@ -37,8 +40,6 @@ def test_enumerate_yields_each_connected_set_once(m):
         assert members not in seen
         seen.add(members)
     # cross-count against a direct sweep of all subsets
-    from itertools import combinations
-
     expected = sum(
         1
         for combo in combinations(range(16), m)
@@ -73,11 +74,15 @@ def test_xi_bruteforce_examples():
 def test_xi_bruteforce_witness_revalidates():
     spec = GraphSpec(4, 2)
     everything = frozenset(range(spec.num_vertices))
-    for result in xi_bruteforce_sweep(spec, 8):
-        assert len(result.witness) == result.m
-        assert is_connected_subset(spec, result.witness)
-        assert is_connected_subset(spec, everything - result.witness)
-        assert boundary_size(spec, result.witness) == result.xi_exact
+    # m_max = 1 leaves the search stack empty: only the root {0} is checked
+    for m_max in (1, 8):
+        results = xi_bruteforce_sweep(spec, m_max)
+        assert [result.m for result in results] == list(range(1, m_max + 1))
+        for result in results:
+            assert len(result.witness) == result.m
+            assert is_connected_subset(spec, result.witness)
+            assert is_connected_subset(spec, everything - result.witness)
+            assert boundary_size(spec, result.witness) == result.xi_exact
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -102,9 +107,11 @@ def test_oracle_matches_formula_enhanced_n5_prefix():
         assert result.xi_exact == xi(family, result.m)
 
 
-def test_pruned_search_agrees_with_plain_enumeration():
-    # same minima through the unpruned generator, complement filtered
-    spec = GraphSpec(4, 2)
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_pruned_search_agrees_with_plain_enumeration(k):
+    # same minima through the unpruned generator, complement filtered;
+    # Q_{4,1} has no closed form, so this is its only independent check
+    spec = GraphSpec(4, k)
     everything = frozenset(range(spec.num_vertices))
     for m in range(1, 9):
         plain_min = min(
@@ -142,6 +149,29 @@ def test_ex_bruteforce_n5_connected():
     for m in (1, 2, 4, 6):
         assert ex_bruteforce(spec, m) == ex_enhanced(5, m)
     assert ex_bruteforce(GraphSpec(5), 6) == ex_hypercube(5, 6)
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_ex_bruteforce_matches_unrooted_sweep_n4(k):
+    # reference: every subset, not only those containing vertex 0
+    spec = GraphSpec(4, k)
+    for m in range(1, 17):
+        expected = max(
+            induced_double_edge_count(spec, combo) for combo in combinations(range(16), m)
+        )
+        assert ex_bruteforce(spec, m) == expected
+
+
+@pytest.mark.parametrize("k", [None, 1, 2])
+def test_ex_bruteforce_matches_connected_enumeration_n5(k):
+    # reference: every connected set, grown from each start vertex
+    spec = GraphSpec(5, k)
+    for m in range(1, 6):
+        expected = max(
+            induced_double_edge_count(spec, members)
+            for members in enumerate_connected_subsets(spec, m)
+        )
+        assert ex_bruteforce(spec, m) == expected
 
 
 def test_ex_bruteforce_rejects_large_dimension():
