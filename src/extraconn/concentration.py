@@ -1,10 +1,15 @@
-"""Suffix-minimum profiles, breakpoints, and the concentration report.
+"""lambda profiles and point queries, breakpoints, and the concentration report.
 
 lambda_h is the minimum of xi_m over h <= m <= 2^(n-1): the smallest cut
 whose removal leaves two connected components of at least h vertices each.
 For Q_{n,2} with n >= 9 it is the constant 2^(n-1) on the whole interval
 [ceil(11*2^(n-1)/48), 2^(n-1)]; the breakpoints m_{n,r} partition that
 interval and are exactly the h values where lambda_h = xi_h.
+
+A profile stores every xi_m and takes their suffix minima (n <= 26). A
+point query and the concentration report never touch single values of m:
+xi is a sum of weights over the set bits of m, so the minimum over an
+interval is read off O(n) aligned dyadic blocks in O(n^2) steps (n <= 62).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import xi
+from .extremal import ex, xi
 from .graphs import MAX_DIMENSION, GraphSpec
 
 MAX_PROFILE_DIMENSION = 26
@@ -64,20 +69,86 @@ def lambda_profile(family: GraphSpec) -> XiProfile:
     return XiProfile(family, xs, suffix_minima(xs))
 
 
-def lambda_at(family: GraphSpec, h: int) -> int:
-    """lambda_h = min xi_m over h <= m <= 2^(n-1), without storing the profile.
+def _weight(a: int, t: int, c: int) -> int:
+    """xi's share from set bit t of m below c higher set bits, at slope a."""
+    return (a - t - 2 * c) << t
 
-    Scans the half - h + 1 values of xi, at most as many as a profile holds.
+
+def _free_minima(a: int, bits: int) -> list[list[int]]:
+    """g[j][c]: the least total weight of free bits 0..j-1 below c set bits."""
+    g = [[0] * (bits + 2)]
+    for t in range(bits):
+        below = g[-1]
+        g.append([min(below[c], _weight(a, t, c) + below[c + 1]) for c in range(len(below) - 1)])
+    return g
+
+
+def _blocks(family: GraphSpec, lo: int, hi: int):
+    """Cover [lo, hi] by aligned dyadic blocks [p, p + 2^j), ascending.
+
+    Yields (p, j, a, g). Inside a block xi_m is xi_p plus the weights of
+    the j low bits of m at slope a, and g = _free_minima(a, n). The slope
+    is the degree, less 2 on the part of Q_{n,2} above a quarter, where
+    the complementary edges add the constant 2^(n-1) and 2 per vertex.
+    """
+    ex(family, 1)  # a family without a closed form is rejected here
+    quarter = family.half >> 1
+    if family.k is None:
+        runs = [(lo, hi, family.degree)]
+    else:
+        runs = [(lo, min(hi, quarter), family.degree), (max(lo, quarter + 1), hi, family.degree - 2)]
+    for start, stop, a in runs:
+        if start > stop:
+            continue
+        g = _free_minima(a, family.n)
+        while start <= stop:
+            j = (start & -start).bit_length() - 1
+            while start + (1 << j) - 1 > stop:
+                j -= 1
+            yield start, j, a, g
+            start += 1 << j
+
+
+def _interval_min(family: GraphSpec, lo: int, hi: int) -> int:
+    """min xi_m over lo <= m <= hi, one closed-form prefix per block."""
+    return min(xi(family, p) + g[j][p.bit_count()] for p, j, _, g in _blocks(family, lo, hi))
+
+
+def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, ...]:
+    """The m in [lo, hi] with xi_m = target, ascending; target is the minimum.
+
+    A depth-first walk fixes the free bits of each block from the top and
+    only enters a branch whose cost plus g can still equal the target.
+    """
+    found = []
+    for p, free, a, g in _blocks(family, lo, hi):
+        stack = [(p, free, xi(family, p), p.bit_count())]
+        while stack:
+            m, j, cost, c = stack.pop()
+            if cost + g[j][c] != target:
+                continue
+            if j == 0:
+                found.append(m)
+                continue
+            t = j - 1
+            stack.append((m | 1 << t, t, cost + _weight(a, t, c), c + 1))
+            stack.append((m, t, cost, c))
+    return tuple(found)
+
+
+def lambda_at(family: GraphSpec, h: int) -> int:
+    """lambda_h = min xi_m over h <= m <= 2^(n-1), in O(n^2) for any n <= 62.
+
+    For m <= 2^(n-1), xi_m sums a weight over the set bits of m: bit t below
+    c higher set bits weighs (d - t - 2c)*2^t with d the degree; on Q_{n,2}
+    above a quarter, d drops by 2 and the constant 2^(n-1) is added once.
+    The interval splits into O(n) aligned dyadic blocks; a block's minimum
+    is xi at its fixed high bits plus the least weight of its free low
+    bits, read from a table over (free bits, c).
     """
     if not 1 <= h <= family.half:
         raise DomainError(f"h={h} outside [1, 2^(n-1) = {family.half}]")
-    scan = family.half - h + 1
-    if scan > 1 << (MAX_PROFILE_DIMENSION - 1):
-        raise ResourceLimitError(
-            f"lambda_at scans at most 2^{MAX_PROFILE_DIMENSION - 1} values of xi; "
-            f"h={h} needs {scan}"
-        )
-    return min(xi(family, m) for m in range(h, family.half + 1))
+    return _interval_min(family, h, family.half)
 
 
 @dataclass(frozen=True)
@@ -161,11 +232,13 @@ class ConcentrationReport:
 def concentration_report(n: int) -> ConcentrationReport:
     """Check every claim about the constant-lambda interval and report it.
 
-    Verifies lambda_h = 2^(n-1) across [h_min, 2^(n-1)], that the h values
-    with lambda_h = xi_h inside the interval are exactly the breakpoints,
-    and that lambda just below the interval drops by 1 (even n) or 2 (odd
-    n). Any failure raises VerificationError carrying the offending h; that
-    signals an implementation bug, never a property of the graphs.
+    Verifies lambda_h = 2^(n-1) at both ends of [h_min, 2^(n-1)], which
+    covers the interval since lambda is nondecreasing in h; that the h
+    values with xi_h = 2^(n-1) inside the interval are exactly the
+    breakpoints; and that lambda just below the interval drops by 1 (even
+    n) or 2 (odd n). No profile is built, so every n <= 62 answers. Any
+    failure raises VerificationError carrying the offending h; that signals
+    an implementation bug, never a property of the graphs.
     """
     if n < 9:
         raise DomainError(
@@ -173,18 +246,16 @@ def concentration_report(n: int) -> ConcentrationReport:
             f"dimensions 4..8 are enumerated by table2_breakpoints"
         )
     family = GraphSpec(n, 2)
-    profile = lambda_profile(family)
     lo = h_min(n)
     half = family.half
     constant = half
-    for h in range(lo, half + 1):
-        if profile.lambda_at(h) != constant:
+    for h in (lo, half):
+        value = lambda_at(family, h)
+        if value != constant:
             raise VerificationError(
-                f"lambda_{h}(Q_{{{n},2}}) = {profile.lambda_at(h)}, expected {constant}", h=h
+                f"lambda_{h}(Q_{{{n},2}}) = {value}, expected {constant}", h=h
             )
-    optimal = tuple(
-        h for h in range(lo, half + 1) if profile.xi_at(h) == profile.lambda_at(h)
-    )
+    optimal = _minimizers(family, lo, half, constant)
     expected = breakpoints(n).values
     if optimal != expected:
         extra = set(optimal) ^ set(expected)
@@ -192,7 +263,7 @@ def concentration_report(n: int) -> ConcentrationReport:
         raise VerificationError(
             f"optimal h set {optimal} differs from breakpoints {expected}", h=bad
         )
-    lambda_below = profile.lambda_at(lo - 1)
+    lambda_below = lambda_at(family, lo - 1)
     gap = 2 if n & 1 else 1
     if constant - lambda_below != gap:
         raise VerificationError(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ from click.testing import CliRunner
 from extraconn.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture()
@@ -66,8 +70,24 @@ def test_lambda_command(runner):
     assert result.output == "64\n"
 
 
-def test_lambda_long_scan_exit_1(runner):
-    assert runner.invoke(main, ["lambda", "--n", "40", "--h", "1"]).exit_code == 1
+def test_python_dash_m(tmp_path):
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    result = subprocess.run(
+        [sys.executable, "-m", "extraconn", "lambda", "--n", "7", "--h", "16"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "64\n"
+
+
+def test_lambda_long_range_command(runner):
+    result = runner.invoke(main, ["lambda", "--n", "40", "--h", "1"])
+    assert result.exit_code == 0
+    assert result.output == "41\n"
+    result = runner.invoke(main, ["lambda", "--n", "9", "--family", "fqn", "--h", "3"])
+    assert result.exit_code == 1
+    assert "no closed form" in result.output
     result = runner.invoke(main, ["lambda", "--n", "40", "--h", "549755813888"])
     assert result.exit_code == 0
     assert result.output == "549755813888\n"
@@ -125,6 +145,13 @@ def test_concentration_command(runner):
     assert "constant: 256" in result.output
     result10 = runner.invoke(main, ["concentration", "--n", "10"])
     assert "constant: 512" in result10.output
+
+
+def test_concentration_command_up_to_n62(runner):
+    result = runner.invoke(main, ["concentration", "--n", "62"])
+    assert result.exit_code == 0
+    assert f"constant: {1 << 61}" in result.output
+    assert runner.invoke(main, ["concentration", "--n", "63"]).exit_code == 1
 
 
 def test_concentration_small_n_exit_1(runner):

@@ -5,6 +5,7 @@ import pytest
 
 import extraconn.concentration
 from extraconn import (
+    ConcentrationReport,
     DomainError,
     GraphSpec,
     ResourceLimitError,
@@ -60,16 +61,47 @@ def test_lambda_at_examples():
         lambda_at(GraphSpec(5, 2), 17)
 
 
-def test_lambda_at_scan_is_bounded_like_a_profile():
-    # a scan longer than the largest profile (2^25 values) is refused at once
-    with pytest.raises(ResourceLimitError):
-        lambda_at(GraphSpec(40, 2), 1)
-    with pytest.raises(ResourceLimitError):
-        lambda_at(GraphSpec(27, 2), 1 << 25)  # 2^26 - 2^25 + 1 values
-    # h near the top still answers, however large n is
+def test_lambda_at_answers_every_dimension():
+    # lambda_1 is the degree; no h is refused, however long its range
+    assert lambda_at(GraphSpec(40, 2), 1) == 41
+    assert lambda_at(GraphSpec(40), 1) == 40
+    assert lambda_at(GraphSpec(62, 2), 1) == 63
+    # h near the top answers by the old scan too, however large n is
     assert lambda_at(GraphSpec(40, 2), 1 << 39) == 1 << 39
     top = GraphSpec(62)
     assert lambda_at(top, top.half - 3) == min(xi(top, m) for m in range(top.half - 3, top.half + 1))
+
+
+def _xi_values(family):
+    return [xi(family, m) for m in range(1, family.half + 1)]
+
+
+def _scan(xi_values, h):
+    """The former lambda_at: min xi_m over h <= m <= 2^(n-1), one value at a time."""
+    return min(xi_values[h - 1 :])
+
+
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lambda_at_matches_scan_every_h(n, k):
+    family = GraphSpec(n, k)
+    values = _xi_values(family)
+    for h in range(1, family.half + 1):
+        assert lambda_at(family, h) == _scan(values, h), h
+
+
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("n", range(13, 19))
+def test_lambda_at_matches_scan_sampled(n, k):
+    family = GraphSpec(n, k)
+    half, quarter = family.half, family.half >> 1
+    values = _xi_values(family)
+    hs = {1, quarter - 1, quarter, quarter + 1, half - 1, half}
+    hs |= {(1 << i) + d for i in range(n) for d in (-1, 0, 1)}
+    rng = random.Random(n * 3 + (k or 0))
+    hs |= {rng.randint(1, half) for _ in range(32)}
+    for h in sorted(h for h in hs if 1 <= h <= half):
+        assert lambda_at(family, h) == _scan(values, h), h
 
 
 def test_suffix_minima_matches_loop():
@@ -184,18 +216,70 @@ def test_concentration_report_rejects_small_n():
         concentration_report(8)
 
 
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_interval_helpers_match_scan(n, k):
+    # any interval, not only [h, 2^(n-1)], where 2^(n-1) alone attains the minimum
+    family = GraphSpec(n, k)
+    values = _xi_values(family)
+    rng = random.Random(n * 5 + (k or 0))
+    for _ in range(40):
+        lo, hi = sorted(rng.randint(1, family.half) for _ in range(2))
+        low = min(values[lo - 1 : hi])
+        assert extraconn.concentration._interval_min(family, lo, hi) == low, (lo, hi)
+        at = tuple(m for m in range(lo, hi + 1) if values[m - 1] == low)
+        assert extraconn.concentration._minimizers(family, lo, hi, low) == at, (lo, hi)
+
+
 def test_concentration_report_raises_on_bad_values(monkeypatch):
-    # force a wrong xi into the interval to prove failures surface as
+    # force a wrong minimum into the interval to prove failures surface as
     # errors, not booleans
-    real_xi = extraconn.concentration.xi
+    real_min = extraconn.concentration._interval_min
 
-    def skewed(family, m):
-        return 200 if m == 100 else real_xi(family, m)
+    def skewed(family, lo, hi):
+        value = real_min(family, lo, hi)
+        return value - 1 if (family, lo, hi) == (GraphSpec(9, 2), 59, 256) else value
 
-    monkeypatch.setattr(extraconn.concentration, "xi", skewed)
+    monkeypatch.setattr(extraconn.concentration, "_interval_min", skewed)
     with pytest.raises(VerificationError) as info:
         concentration_report(9)
-    assert info.value.h is not None
+    assert info.value.h == 59
+
+
+def _profile_report(n):
+    """The former concentration_report, read off a full profile."""
+    family = GraphSpec(n, 2)
+    profile = lambda_profile(family)
+    lo, half = h_min(n), family.half
+    assert all(profile.lambda_at(h) == half for h in range(lo, half + 1))
+    optimal = tuple(h for h in range(lo, half + 1) if profile.xi_at(h) == profile.lambda_at(h))
+    assert optimal == breakpoints(n).values
+    gap = 2 if n & 1 else 1
+    assert half - profile.lambda_at(lo - 1) == gap
+    return ConcentrationReport(
+        n=n,
+        h_min=lo,
+        h_max=half,
+        constant=half,
+        breakpoints=breakpoints(n).values,
+        optimal_h=optimal,
+        lambda_below=profile.lambda_at(lo - 1),
+        gap=gap,
+    )
+
+
+@pytest.mark.parametrize("n", range(9, 19))
+def test_concentration_report_matches_profile(n):
+    assert concentration_report(n) == _profile_report(n)
+
+
+@pytest.mark.parametrize("n", range(19, 63))
+def test_concentration_report_beyond_profiles(n):
+    report = concentration_report(n)
+    gap = 2 if n & 1 else 1
+    assert report.optimal_h == breakpoints(n).values
+    assert report.h_min == h_min(n)
+    assert report.lambda_below == (1 << (n - 1)) - gap
 
 
 @pytest.mark.parametrize("n", range(9, 21))
