@@ -116,24 +116,22 @@ def lambda_cmd(n, family, k, h):
     click.echo(str(lambda_at(_graph_spec(n, family, k), h)))
 
 
+def _profile_rows(profile):
+    """(h, xi_h, lambda_h) for every 1 <= h <= 2^(n-1), from the stored tuples."""
+    return zip(range(1, profile.half + 1), profile.xi_values, profile.lambda_values)
+
+
 def _profile_csv(profile) -> str:
     lines = ["h,xi,lambda,optimal"]
-    for h in range(1, profile.half + 1):
-        x = profile.xi_at(h)
-        lam = profile.lambda_at(h)
+    for h, x, lam in _profile_rows(profile):
         lines.append(f"{h},{x},{lam},{1 if x == lam else 0}")
     return "\n".join(lines) + "\n"
 
 
 def _profile_json(profile) -> str:
     rows = [
-        {
-            "h": h,
-            "xi": profile.xi_at(h),
-            "lambda": profile.lambda_at(h),
-            "optimal": profile.xi_at(h) == profile.lambda_at(h),
-        }
-        for h in range(1, profile.half + 1)
+        {"h": h, "xi": x, "lambda": lam, "optimal": x == lam}
+        for h, x, lam in _profile_rows(profile)
     ]
     kind = "hypercube" if profile.family.k is None else "enhanced"
     return json.dumps({"n": profile.family.n, "family": kind, "rows": rows}) + "\n"
@@ -222,15 +220,12 @@ def verify_cmd(n, family, k, mode, samples, seed):
         suffix = suffix_minima([r.xi_exact for r in results])
         profile = lambda_profile(spec)
         passed = 0
-        for m in range(1, half + 1):
-            ok = (
-                results[m - 1].xi_exact == profile.xi_at(m)
-                and suffix[m - 1] == profile.lambda_at(m)
-            )
+        for (m, x, lam), result, lam_exact in zip(_profile_rows(profile), results, suffix):
+            ok = result.xi_exact == x and lam_exact == lam
             passed += ok
             click.echo(
-                f"m={m} xi_exact={results[m - 1].xi_exact} xi={profile.xi_at(m)} "
-                f"lambda_exact={suffix[m - 1]} lambda={profile.lambda_at(m)} "
+                f"m={m} xi_exact={result.xi_exact} xi={x} "
+                f"lambda_exact={lam_exact} lambda={lam} "
                 f"{'PASS' if ok else 'FAIL'}"
             )
         click.echo(f"{passed}/{half} PASS")

@@ -19,11 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import (
+    MAX_DIMENSION,
+    MAX_PROFILE_DIMENSION,
+    DomainError,
+    ResourceLimitError,
+    VerificationError,
+)
 from .extremal import ex, xi
-from .graphs import MAX_DIMENSION, GraphSpec
+from .graphs import GraphSpec
 
-MAX_PROFILE_DIMENSION = 26
+_TABLE2_HINT = "; dimensions 4..8 are enumerated by table2_breakpoints"
 
 
 @dataclass(frozen=True)
@@ -39,18 +45,12 @@ class XiProfile:
         return self.family.half
 
     def xi_at(self, m: int) -> int:
-        if not 1 <= m <= self.half:
-            raise DomainError(f"profile index m={m} outside [1, {self.half}]")
+        DomainError.require(m, 1, self.half, "m")
         return self.xi_values[m - 1]
 
     def lambda_at(self, h: int) -> int:
-        if not 1 <= h <= self.half:
-            raise DomainError(f"profile index h={h} outside [1, {self.half}]")
+        DomainError.require(h, 1, self.half, "h")
         return self.lambda_values[h - 1]
-
-    def optimal_flags(self) -> tuple[bool, ...]:
-        """flag[h-1] is True when lambda_h = xi_h."""
-        return tuple(x == lam for x, lam in zip(self.xi_values, self.lambda_values))
 
 
 def suffix_minima(values: Sequence[int]) -> tuple[int, ...]:
@@ -146,8 +146,7 @@ def lambda_at(family: GraphSpec, h: int) -> int:
     is xi at its fixed high bits plus the least weight of its free low
     bits, read from a table over (free bits, c).
     """
-    if not 1 <= h <= family.half:
-        raise DomainError(f"h={h} outside [1, 2^(n-1) = {family.half}]")
+    DomainError.require(h, 1, family.half, "h")
     return _interval_min(family, h, family.half)
 
 
@@ -162,8 +161,7 @@ class Breakpoints:
 
 def h_min(n: int) -> int:
     """ceil(11 * 2^(n-1) / 48), the lower end of the constant-lambda interval."""
-    if not 4 <= n <= MAX_DIMENSION:
-        raise DomainError(f"h_min needs 4 <= n <= {MAX_DIMENSION}, got n={n}")
+    DomainError.require(n, 4, MAX_DIMENSION, "n")
     return (11 * (1 << (n - 1)) + 47) // 48
 
 
@@ -175,11 +173,7 @@ def breakpoints(n: int) -> Breakpoints:
     single low power 2^(2r-1-f); the last three values are the fixed
     patterns summing four leading powers, 2^(n-3), and 2^(n-1).
     """
-    if not 9 <= n <= MAX_DIMENSION:
-        raise DomainError(
-            f"breakpoints(n) needs 9 <= n <= {MAX_DIMENSION}, got n={n}; "
-            f"dimensions 4..8 are enumerated by table2_breakpoints"
-        )
+    DomainError.require(n, 9, MAX_DIMENSION, "n", _TABLE2_HINT)
     f = n & 1
     count = (n + 1) // 2 - 1
     values = []
@@ -210,8 +204,7 @@ _SMALL_BREAKPOINTS = {
 
 def table2_breakpoints(n: int) -> Breakpoints:
     """Enumerated breakpoint values for 4 <= n <= 8."""
-    if n not in _SMALL_BREAKPOINTS:
-        raise DomainError(f"table2_breakpoints covers 4 <= n <= 8, got n={n}")
+    DomainError.require(n, 4, 8, "n")
     return Breakpoints(n, n & 1, _SMALL_BREAKPOINTS[n])
 
 
@@ -240,11 +233,7 @@ def concentration_report(n: int) -> ConcentrationReport:
     failure raises VerificationError carrying the offending h; that signals
     an implementation bug, never a property of the graphs.
     """
-    if n < 9:
-        raise DomainError(
-            f"concentration_report needs n >= 9, got n={n}; "
-            f"dimensions 4..8 are enumerated by table2_breakpoints"
-        )
+    DomainError.require(n, 9, MAX_DIMENSION, "n", _TABLE2_HINT)
     family = GraphSpec(n, 2)
     lo = h_min(n)
     half = family.half
@@ -304,10 +293,8 @@ def ratio_table(n_min: int, n_max: int) -> list[RatioRow]:
     g(n) = 2^(n-1) - ceil(11*2^(n-1)/48) + 1; the exact rational ratio
     converges to 37/48 from above as n grows.
     """
-    if not 4 <= n_min <= n_max <= MAX_DIMENSION:
-        raise DomainError(
-            f"ratio_table needs 4 <= n_min <= n_max <= {MAX_DIMENSION}, got [{n_min}, {n_max}]"
-        )
+    DomainError.require(n_min, 4, MAX_DIMENSION, "n_min")
+    DomainError.require(n_max, n_min, MAX_DIMENSION, "n_max")
     rows = []
     for n in range(n_min, n_max + 1):
         half = 1 << (n - 1)

@@ -1,8 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types and the input policy shared across the package.
+
+Every integer argument of a public entry point goes through
+DomainError.require: it must be a Python int (not a bool, not a float or
+a numpy integer) inside a closed range, or the call fails at once with a
+DomainError naming the argument. The caps on the size of an input live
+here too, so what the package accepts is decided in this one module.
+"""
+
+MAX_DIMENSION = 62  # any graph or closed form
+MAX_BITMAP_DIMENSION = 13  # dense 2^n x 2^n adjacency bitmap
+MAX_PROFILE_DIMENSION = 26  # profile of all 2^(n-1) xi values
+MAX_EXHAUSTIVE_DIMENSION = 5  # the oracle's exhaustive searches
+MAX_SAMPLING_DIMENSION = 12  # the cut sampler
 
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""
+
+    # A static method, not a module function: perfbench/tracing.py wraps
+    # every function one extraconn module imports from another, and this
+    # module is not one of its layers.
+    @staticmethod
+    def require(value, lo: int, hi: int | None, name: str, hint: str = "") -> None:
+        """Raise unless type(value) is int and lo <= value <= hi.
+
+        A bool, a float or a numpy integer is refused, whatever its value.
+        hi=None leaves the range unbounded above; hint is appended to the
+        message, which reads "<name>=<value> outside [lo, hi]".
+        """
+        if type(value) is not int:
+            raise DomainError(f"{name}={value!r} is not an int{hint}")
+        if value < lo or (hi is not None and value > hi):
+            upper = "inf)" if hi is None else f"{hi}]"
+            raise DomainError(f"{name}={value} outside [{lo}, {upper}{hint}")
 
 
 class ResourceLimitError(RuntimeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import MAX_DIMENSION, DomainError
 from .graphs import GraphSpec
 
 
@@ -21,8 +21,7 @@ def binary_decomposition(m: int) -> list[int]:
     The head exponent is floor(log2 m) and each later exponent is the floor
     log of the remainder, so summing 2^t over the result reassembles m.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"binary decomposition needs a positive integer, got {m!r}")
+    DomainError.require(m, 1, None, "m")
     exponents = []
     while m:
         t = m.bit_length() - 1
@@ -31,11 +30,16 @@ def binary_decomposition(m: int) -> list[int]:
     return exponents
 
 
+def _ex_plain(m: int) -> int:
+    """ex_m(Q_n) for any n with m <= 2^n; the value does not depend on n."""
+    return sum((t + 2 * i) << t for i, t in enumerate(binary_decomposition(m)))
+
+
 def ex_hypercube(n: int, m: int) -> int:
     """ex_m of the plain n-cube: sum of (t_i + 2i) * 2^(t_i) over the decomposition."""
-    if not 1 <= m <= 1 << n:
-        raise DomainError(f"cardinality m={m} outside [1, 2^{n}]")
-    return sum((t + 2 * i) << t for i, t in enumerate(binary_decomposition(m)))
+    DomainError.require(n, 0, MAX_DIMENSION, "n")
+    DomainError.require(m, 1, 1 << n, "m")
+    return _ex_plain(m)
 
 
 def ex_enhanced(n: int, m: int) -> int:
@@ -47,15 +51,13 @@ def ex_enhanced(n: int, m: int) -> int:
     2^(n-1) ramp up to half, a flat 2^(n-1) plateau, then a 2x ramp) into a
     single expression, so there are no branch-boundary cases to get wrong.
     """
-    if n < 3:
-        raise DomainError(f"enhanced family needs n >= 3, got n={n}")
-    if not 1 <= m <= 1 << n:
-        raise DomainError(f"cardinality m={m} outside [1, 2^{n}]")
+    DomainError.require(n, 3, MAX_DIMENSION, "n")
+    DomainError.require(m, 1, 1 << n, "m")
     half = 1 << (n - 1)
     quarter = 1 << (n - 2)
     wraps = m >> (n - 1)
     rest = m - (wraps << (n - 1))
-    return ex_hypercube(n, m) + wraps * half + 2 * max(rest - quarter, 0)
+    return _ex_plain(m) + wraps * half + 2 * max(rest - quarter, 0)
 
 
 def ex(spec: GraphSpec, m: int) -> int:
@@ -75,8 +77,7 @@ def xi(family: GraphSpec, m: int) -> int:
     Defined only up to half the vertices; larger m is rejected rather than
     mirrored, even though ex itself extends further.
     """
-    if not 1 <= m <= family.half:
-        raise DomainError(f"xi is defined for 1 <= m <= 2^(n-1) = {family.half}, got m={m}")
+    DomainError.require(m, 1, family.half, "m")
     return family.degree * m - ex(family, m)
 
 
@@ -104,14 +105,13 @@ class SplitIdentity:
 
 def split_identity_check(n: int, m: int, a: int) -> SplitIdentity:
     """Evaluate ex_m(Q_{n,2}) directly and via both split identities."""
-    if not 1 <= m <= 1 << (n - 1):
-        raise DomainError(f"cardinality m={m} outside [1, 2^(n-1)]")
+    DomainError.require(n, 3, MAX_DIMENSION, "n")
+    DomainError.require(m, 1, 1 << (n - 1), "m")
     exponents = binary_decomposition(m)
     s = len(exponents) - 1
     if s < 1:
         raise DomainError(f"m={m} has a single-term decomposition; no split exists")
-    if not 0 <= a < s:
-        raise DomainError(f"split index a={a} outside [0, {s - 1}]")
+    DomainError.require(a, 0, s - 1, "a")
     m1 = sum(1 << t for t in exponents[: a + 1])
     m2 = m - m1
     lhs = ex_enhanced(n, m)
@@ -126,8 +126,6 @@ def split_identity_check(n: int, m: int, a: int) -> SplitIdentity:
 
 def ex_upper_bound_check(n: int, t: int, m: int) -> bool:
     """True iff ex_m(Q_n) <= t*m and ex_m(Q_{n,2}) <= (t+1)*m for m <= 2^t."""
-    if not 0 <= t <= n:
-        raise DomainError(f"exponent t={t} outside [0, {n}]")
-    if not 1 <= m <= 1 << t:
-        raise DomainError(f"cardinality m={m} outside [1, 2^{t}]")
+    DomainError.require(t, 0, n, "t")
+    DomainError.require(m, 1, 1 << t, "m")
     return ex_hypercube(n, m) <= t * m and ex_enhanced(n, m) <= (t + 1) * m

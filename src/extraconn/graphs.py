@@ -20,10 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-
-MAX_DIMENSION = 62
-MAX_BITMAP_DIMENSION = 13
+from .errors import MAX_BITMAP_DIMENSION, MAX_DIMENSION, DomainError, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -34,10 +31,9 @@ class GraphSpec:
     k: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 2 <= self.n <= MAX_DIMENSION:
-            raise DomainError(f"dimension n={self.n!r} outside [2, {MAX_DIMENSION}]")
-        if self.k is not None and (not isinstance(self.k, int) or not 1 <= self.k <= self.n - 1):
-            raise DomainError(f"complement parameter k={self.k!r} outside [1, {self.n - 1}]")
+        DomainError.require(self.n, 2, MAX_DIMENSION, "n")
+        if self.k is not None:
+            DomainError.require(self.k, 1, self.n - 1, "k")
 
     @property
     def num_vertices(self) -> int:
@@ -70,14 +66,10 @@ class GraphSpec:
         return dimensions if self.k is None else dimensions + (self.complement_mask,)
 
 
-def _check_vertex(spec: GraphSpec, v: int) -> None:
-    if not isinstance(v, int) or not 0 <= v < spec.num_vertices:
-        raise DomainError(f"vertex id {v!r} outside [0, 2^{spec.n})")
-
-
 def _check_subset(spec: GraphSpec, members: frozenset[int]) -> None:
+    top = spec.num_vertices - 1
     for v in members:
-        _check_vertex(spec, v)
+        DomainError.require(v, 0, top, "vertex")
 
 
 def _neighbor_iter(spec: GraphSpec, v: int) -> Iterator[int]:
@@ -91,7 +83,7 @@ def neighbors(spec: GraphSpec, v: int) -> frozenset[int]:
     when k is set, flips the low n-k+1 bits at once and never coincides with
     a dimension neighbor (the mask has at least two bits for valid k).
     """
-    _check_vertex(spec, v)
+    DomainError.require(v, 0, spec.num_vertices - 1, "vertex")
     return frozenset(_neighbor_iter(spec, v))
 
 
@@ -102,10 +94,8 @@ def edge_count(spec: GraphSpec) -> int:
 
 def lexicographic_set(n: int, m: int) -> frozenset[int]:
     """The first m vertices in label order, {0, ..., m-1}."""
-    if not 2 <= n <= MAX_DIMENSION:
-        raise DomainError(f"dimension n={n!r} outside [2, {MAX_DIMENSION}]")
-    if not 1 <= m <= 1 << n:
-        raise DomainError(f"cardinality m={m} outside [1, 2^{n}]")
+    DomainError.require(n, 2, MAX_DIMENSION, "n")
+    DomainError.require(m, 1, 1 << n, "m")
     return frozenset(range(m))
 
 

@@ -18,28 +18,31 @@ S the set S ^ a contains 0 and has the same size, boundary, induced edges
 and connectivity on both sides, so every extremum is attained by a set
 containing vertex 0.
 
-An extension-step budget (default 10^9, overridable through the
-EXTRACONN_BUDGET environment variable) aborts runaway searches.
+Every search takes an extension-step budget (default 10^9, any int >= 0)
+and raises ResourceLimitError once it is spent, so no call runs without
+bound. The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
+sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DomainError, ResourceLimitError
+from .errors import (
+    MAX_EXHAUSTIVE_DIMENSION,
+    MAX_SAMPLING_DIMENSION,
+    DomainError,
+    ResourceLimitError,
+)
 from .graphs import GraphSpec
 
 DEFAULT_EXTENSION_BUDGET = 10**9
-BUDGET_ENV_VAR = "EXTRACONN_BUDGET"
-
-MAX_EXHAUSTIVE_DIMENSION = 5
-MAX_ALL_SUBSET_DIMENSION = 4
-MAX_SAMPLING_DIMENSION = 12
+MAX_ALL_SUBSET_DIMENSION = 4  # ex_bruteforce sweeps all subsets up to here
+SAMPLE_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -62,18 +65,6 @@ class OracleResult:
     witness: frozenset[int]
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return DEFAULT_EXTENSION_BUDGET
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from exc
-
-
 def _over_budget(limit: int) -> ResourceLimitError:
     return ResourceLimitError(f"search exceeded the {limit} extension-step budget")
 
@@ -81,13 +72,6 @@ def _over_budget(limit: int) -> ResourceLimitError:
 @lru_cache(maxsize=None)
 def _neighbor_masks(spec: GraphSpec) -> tuple[int, ...]:
     return tuple(sum(1 << (v ^ g) for g in spec.generators) for v in range(spec.num_vertices))
-
-
-def _check_exhaustive(spec: GraphSpec) -> None:
-    if spec.n > MAX_EXHAUSTIVE_DIMENSION:
-        raise DomainError(
-            f"exhaustive search is limited to n <= {MAX_EXHAUSTIVE_DIMENSION}, got n={spec.n}"
-        )
 
 
 def _mask_connected(mask: int, nbr: tuple[int, ...]) -> bool:
@@ -127,15 +111,18 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _check_search(spec: GraphSpec, budget: int) -> None:
+    DomainError.require(spec.n, 2, MAX_EXHAUSTIVE_DIMENSION, "n")
+    DomainError.require(budget, 0, None, "budget")
+
+
 def enumerate_connected_subsets(
-    spec: GraphSpec, m: int, budget: int | None = None
+    spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET
 ) -> Iterator[frozenset[int]]:
     """Yield every size-m vertex set inducing a connected subgraph, once each."""
-    _check_exhaustive(spec)
-    if not 1 <= m <= spec.num_vertices:
-        raise DomainError(f"cardinality m={m} outside [1, 2^{spec.n}]")
+    _check_search(spec, budget)
+    DomainError.require(m, 1, spec.num_vertices, "m")
     nbr = _neighbor_masks(spec)
-    limit = _resolve_budget(budget)
     steps = 0
     for v in range(spec.num_vertices):
         if m == 1:
@@ -149,8 +136,8 @@ def enumerate_connected_subsets(
                 wbit = ext & -ext
                 ext ^= wbit
                 steps += 1
-                if steps > limit:
-                    raise _over_budget(limit)
+                if steps > budget:
+                    raise _over_budget(budget)
                 grown = sub | wbit
                 if size + 1 == m:
                     yield _members(grown)
@@ -160,7 +147,7 @@ def enumerate_connected_subsets(
 
 
 def xi_bruteforce_sweep(
-    spec: GraphSpec, m_max: int, budget: int | None = None
+    spec: GraphSpec, m_max: int, budget: int = DEFAULT_EXTENSION_BUDGET
 ) -> list[OracleResult]:
     """Exact minimum boundaries for every 1 <= m <= m_max, in one search.
 
@@ -172,13 +159,11 @@ def xi_bruteforce_sweep(
     counted directly in the graph; every reported minimum is attained by
     the recorded witness, whose two sides were both checked connected.
     """
-    _check_exhaustive(spec)
-    if not 1 <= m_max <= spec.half:
-        raise DomainError(f"cardinality m_max={m_max} outside [1, 2^(n-1) = {spec.half}]")
+    _check_search(spec, budget)
+    DomainError.require(m_max, 1, spec.half, "m_max")
     nbr = _neighbor_masks(spec)
     degree = spec.degree
     full = (1 << spec.num_vertices) - 1
-    limit = _resolve_budget(budget)
     infinity = 1 << 62
 
     best = [infinity] * (m_max + 1)
@@ -208,8 +193,8 @@ def xi_bruteforce_sweep(
             wbit = ext & -ext
             ext ^= wbit
             steps += 1
-            if steps > limit:
-                raise _over_budget(limit)
+            if steps > budget:
+                raise _over_budget(budget)
             wnbr = nbr[wbit.bit_length() - 1]
             grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
             grown = sub | wbit
@@ -227,24 +212,25 @@ def xi_bruteforce_sweep(
     return results
 
 
-def xi_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> OracleResult:
+def xi_bruteforce(
+    spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET
+) -> OracleResult:
     """Exact minimum boundary over size-m sets with both sides connected."""
     return xi_bruteforce_sweep(spec, m, budget)[m - 1]
 
 
-def lambda_bruteforce(spec: GraphSpec, h: int, budget: int | None = None) -> int:
+def lambda_bruteforce(spec: GraphSpec, h: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
     """Exact lambda_h: minimum of the exact xi_m over h <= m <= 2^(n-1).
 
     Valid because a minimum cut meeting the size constraint leaves exactly
     two components, one of which has some size m in that range.
     """
-    if not 1 <= h <= spec.half:
-        raise DomainError(f"h={h} outside [1, 2^(n-1) = {spec.half}]")
+    DomainError.require(h, 1, spec.half, "h")
     results = xi_bruteforce_sweep(spec, spec.half, budget)
     return min(result.xi_exact for result in results[h - 1 :])
 
 
-def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
+def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
     """Exact ex_m: twice the maximum induced edge count over size-m sets.
 
     Only sets containing vertex 0 are searched, which by translation
@@ -252,20 +238,18 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
     maximum is taken over connected sets only (the maximizer is connected
     for these graphs, and the all-subset space is out of reach).
     """
-    _check_exhaustive(spec)
-    if not 1 <= m <= spec.num_vertices:
-        raise DomainError(f"cardinality m={m} outside [1, 2^{spec.n}]")
+    _check_search(spec, budget)
+    DomainError.require(m, 1, spec.num_vertices, "m")
     nbr = _neighbor_masks(spec)
     degree = spec.degree
-    limit = _resolve_budget(budget)
     steps = 0
 
     if spec.n <= MAX_ALL_SUBSET_DIMENSION:
         top = 0
         for combo in combinations(range(1, spec.num_vertices), m - 1):
             steps += 1
-            if steps > limit:
-                raise _over_budget(limit)
+            if steps > budget:
+                raise _over_budget(budget)
             mask = 1
             for v in combo:
                 mask |= 1 << v
@@ -289,8 +273,8 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
             wbit = ext & -ext
             ext ^= wbit
             steps += 1
-            if steps > limit:
-                raise _over_budget(limit)
+            if steps > budget:
+                raise _over_budget(budget)
             wnbr = nbr[wbit.bit_length() - 1]
             grown_doubled = doubled + 2 * (wnbr & sub).bit_count()
             if grown_size == m:
@@ -303,27 +287,18 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int | None = None) -> int:
     return top
 
 
-def sample_cuts(
-    spec: GraphSpec,
-    samples: int,
-    seed: int,
-    max_retries: int = 20,
-) -> Iterator[CutSample]:
+def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]:
     """Seeded random cuts with both sides connected.
 
     Each sample grows a connected set by a random walk from a random start
     vertex until a random target size of at most half the vertices, then
-    keeps it only if the complement is connected too; up to max_retries
+    keeps it only if the complement is connected too; up to SAMPLE_RETRIES
     regrowths are attempted before the sample is skipped. The generator is
     random.Random (Mersenne Twister), so a fixed seed replays the identical
     stream on any platform.
     """
-    if spec.n > MAX_SAMPLING_DIMENSION:
-        raise DomainError(
-            f"sampling is limited to n <= {MAX_SAMPLING_DIMENSION}, got n={spec.n}"
-        )
-    if samples < 0:
-        raise DomainError(f"sample count must be nonnegative, got {samples}")
+    DomainError.require(spec.n, 2, MAX_SAMPLING_DIMENSION, "n")
+    DomainError.require(samples, 0, None, "samples")
     nbr = _neighbor_masks(spec)
     total = spec.num_vertices
     adjacency = tuple(tuple(sorted(v ^ g for g in spec.generators)) for v in range(total))
@@ -333,7 +308,7 @@ def sample_cuts(
     walk_cap = 64 * degree
 
     for _ in range(samples):
-        for _attempt in range(max_retries):
+        for _attempt in range(SAMPLE_RETRIES):
             target = rng.randint(1, spec.half)
             current = rng.randrange(total)
             mask = 1 << current

@@ -1,7 +1,9 @@
+import inspect
 from itertools import combinations
 
 import pytest
 
+import extraconn
 from extraconn import (
     DomainError,
     GraphSpec,
@@ -20,7 +22,7 @@ from extraconn import (
     xi_bruteforce,
     xi_bruteforce_sweep,
 )
-from extraconn.oracle import BUDGET_ENV_VAR, DEFAULT_EXTENSION_BUDGET, _resolve_budget
+from extraconn.oracle import DEFAULT_EXTENSION_BUDGET
 
 
 def test_enumerate_counts():
@@ -58,11 +60,26 @@ def test_enumerate_budget_exhaustion():
         list(enumerate_connected_subsets(GraphSpec(4, 2), 5, budget=10))
 
 
-def test_budget_env_override(monkeypatch):
-    assert _resolve_budget(None) == DEFAULT_EXTENSION_BUDGET
-    assert _resolve_budget(123) == 123
-    monkeypatch.setenv(BUDGET_ENV_VAR, "456")
-    assert _resolve_budget(None) == 456
+_BUDGETED = {
+    "enumerate_connected_subsets": lambda spec, budget: list(
+        enumerate_connected_subsets(spec, 2, budget)
+    ),
+    "xi_bruteforce_sweep": lambda spec, budget: xi_bruteforce_sweep(spec, 2, budget),
+    "xi_bruteforce": lambda spec, budget: xi_bruteforce(spec, 2, budget),
+    "lambda_bruteforce": lambda spec, budget: lambda_bruteforce(spec, 2, budget),
+    "ex_bruteforce": lambda spec, budget: ex_bruteforce(spec, 2, budget),
+}
+
+
+def test_budget_default_and_domain():
+    spec = GraphSpec(3, 2)
+    for name, call in _BUDGETED.items():
+        default = inspect.signature(getattr(extraconn, name)).parameters["budget"].default
+        assert default == DEFAULT_EXTENSION_BUDGET == 10**9
+        call(spec, default)
+        for budget in ("x", -1):
+            with pytest.raises(DomainError):
+                call(spec, budget)
 
 
 def test_xi_bruteforce_examples():
