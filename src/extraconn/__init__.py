@@ -33,13 +33,9 @@ from .graphs import (
     GraphSpec,
     adjacency_bitmap,
     boundary_size,
-    edge_count,
     induced_double_edge_count,
     is_connected_subset,
-    lexicographic_set,
-    neighbors,
     pbm_text,
-    write_pbm,
 )
 from .oracle import (
     CutSample,
@@ -71,7 +67,6 @@ __all__ = [
     "boundary_size",
     "breakpoints",
     "concentration_report",
-    "edge_count",
     "enumerate_connected_subsets",
     "ex",
     "ex_bruteforce",
@@ -84,14 +79,11 @@ __all__ = [
     "lambda_at",
     "lambda_bruteforce",
     "lambda_profile",
-    "lexicographic_set",
-    "neighbors",
     "pbm_text",
     "ratio_table",
     "sample_cuts",
     "split_identity_check",
     "table2_breakpoints",
-    "write_pbm",
     "xi",
     "xi_bruteforce",
     "xi_bruteforce_sweep",

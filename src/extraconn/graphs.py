@@ -6,21 +6,33 @@ lexicographic segment of the vertex order is literally the interval [0, m).
 The enhanced variant Q_{n,k} adds one complementary edge per vertex,
 flipping the low n-k+1 bits; k=1 gives the folded hypercube.
 
+A vertex set is one 2^n-bit int, bit v set when vertex v is in. XOR by a
+generator maps a set to its image by a chain of block swaps (one per set
+bit of the generator), so boundaries and connectivity cost a few big-int
+operations per generator, with no per-vertex loop.
+mask_boundary and mask_connected are the one implementation of boundary
+counting and of induced connectivity; the oracle calls them too. Sets are
+taken for n <= MAX_SET_DIMENSION (128 KiB per set at n = 20).
+
 All functions are pure and every returned value is immutable, so they are
 safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MAX_BITMAP_DIMENSION, MAX_DIMENSION, DomainError, ResourceLimitError
+from .errors import (
+    MAX_BITMAP_DIMENSION,
+    MAX_DIMENSION,
+    MAX_SET_DIMENSION,
+    DomainError,
+    ResourceLimitError,
+)
 
 
 @dataclass(frozen=True)
@@ -65,45 +77,81 @@ class GraphSpec:
         dimensions = tuple(1 << j for j in range(self.n))
         return dimensions if self.k is None else dimensions + (self.complement_mask,)
 
+    @cached_property
+    def block_swaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each generator as a chain of (2^j, L_j) block swaps on vertex masks.
 
-def _check_subset(spec: GraphSpec, members: frozenset[int]) -> None:
+        L_j marks the vertices with bit j clear. XOR by 2^j moves them up by
+        2^j and the others down, so it maps a set S to
+        ((S & L_j) << 2^j) | ((S >> 2^j) & L_j); XOR by a generator is the
+        chain over its set bits. Needs n <= MAX_SET_DIMENSION.
+        """
+        DomainError.require(self.n, 2, MAX_SET_DIMENSION, "n")
+        swaps = []
+        for j in range(self.n):
+            shift = 1 << j
+            low = (1 << shift) - 1  # L_j on the first 2^(j+1) vertices, then doubled
+            width = 2 * shift
+            while width < self.num_vertices:
+                low |= low << width
+                width *= 2
+            swaps.append((shift, low))
+        return tuple(
+            tuple(swaps[j] for j in range(self.n) if g >> j & 1) for g in self.generators
+        )
+
+
+def _images(spec: GraphSpec, mask: int) -> Iterator[int]:
+    """The masked set's image under XOR by each generator, in generator order."""
+    for chain in spec.block_swaps:
+        image = mask
+        for shift, low in chain:
+            image = ((image & low) << shift) | ((image >> shift) & low)
+        yield image
+
+
+def mask_boundary(spec: GraphSpec, mask: int) -> int:
+    """Number of edges with exactly one endpoint in the masked set.
+
+    Each generator g pairs v with v ^ g, so sum_g |S & g(S)| counts every
+    induced edge twice and the boundary is degree*|S| minus that.
+    """
+    inside = sum((mask & image).bit_count() for image in _images(spec, mask))
+    return spec.degree * mask.bit_count() - inside
+
+
+def mask_connected(spec: GraphSpec, mask: int) -> bool:
+    """Whether the masked set induces a connected subgraph (empty: yes).
+
+    Frontier expansion from the lowest member: each round ORs the
+    generator images of the frontier and keeps the members not reached yet.
+    """
+    frontier = mask & -mask
+    rest = mask ^ frontier
+    while frontier and rest:
+        reach = 0
+        for image in _images(spec, frontier):
+            reach |= image
+        frontier = reach & rest
+        rest ^= frontier
+    return not rest
+
+
+def _members_mask(spec: GraphSpec, members: Iterable[int]) -> int:
+    """The mask of a vertex set, after checking n and every member."""
+    DomainError.require(spec.n, 2, MAX_SET_DIMENSION, "n")
     top = spec.num_vertices - 1
+    bits = bytearray(spec.num_vertices)
     for v in members:
         DomainError.require(v, 0, top, "vertex")
-
-
-def _neighbor_iter(spec: GraphSpec, v: int) -> Iterator[int]:
-    return (v ^ g for g in spec.generators)
-
-
-def neighbors(spec: GraphSpec, v: int) -> frozenset[int]:
-    """All vertices adjacent to v; the size equals the regularity.
-
-    The n dimension neighbors flip a single bit; the complementary neighbor,
-    when k is set, flips the low n-k+1 bits at once and never coincides with
-    a dimension neighbor (the mask has at least two bits for valid k).
-    """
-    DomainError.require(v, 0, spec.num_vertices - 1, "vertex")
-    return frozenset(_neighbor_iter(spec, v))
-
-
-def edge_count(spec: GraphSpec) -> int:
-    """Total number of edges: n*2^(n-1) plain, (n+1)*2^(n-1) enhanced."""
-    return spec.degree << (spec.n - 1)
-
-
-def lexicographic_set(n: int, m: int) -> frozenset[int]:
-    """The first m vertices in label order, {0, ..., m-1}."""
-    DomainError.require(n, 2, MAX_DIMENSION, "n")
-    DomainError.require(m, 1, 1 << n, "m")
-    return frozenset(range(m))
+        bits[v] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def induced_double_edge_count(spec: GraphSpec, members: Iterable[int]) -> int:
     """Twice the number of edges of the subgraph induced by the given set."""
-    members = frozenset(members)
-    _check_subset(spec, members)
-    return sum(1 for v in members for u in _neighbor_iter(spec, v) if u in members)
+    mask = _members_mask(spec, members)
+    return spec.degree * mask.bit_count() - mask_boundary(spec, mask)
 
 
 def boundary_size(spec: GraphSpec, members: Iterable[int]) -> int:
@@ -112,32 +160,15 @@ def boundary_size(spec: GraphSpec, members: Iterable[int]) -> int:
     Equal to degree*|X| - 2|E(G[X])|; rejects the empty and full set, whose
     boundary is meaningless for cut analysis.
     """
-    members = frozenset(members)
-    if not members or len(members) >= spec.num_vertices:
+    mask = _members_mask(spec, members)
+    if not 0 < mask.bit_count() < spec.num_vertices:
         raise DomainError("boundary_size needs a nonempty proper subset")
-    return spec.degree * len(members) - induced_double_edge_count(spec, members)
+    return mask_boundary(spec, mask)
 
 
 def is_connected_subset(spec: GraphSpec, members: Iterable[int]) -> bool:
-    """Whether the induced subgraph is connected (empty and singleton: yes).
-
-    Breadth-first traversal restricted to the subset by membership tests;
-    nothing outside the subset is materialized.
-    """
-    members = frozenset(members)
-    _check_subset(spec, members)
-    if len(members) <= 1:
-        return True
-    start = next(iter(members))
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        v = queue.popleft()
-        for u in _neighbor_iter(spec, v):
-            if u in members and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(members)
+    """Whether the induced subgraph is connected (empty and singleton: yes)."""
+    return mask_connected(spec, _members_mask(spec, members))
 
 
 def adjacency_bitmap(spec: GraphSpec) -> np.ndarray:
@@ -169,11 +200,3 @@ def pbm_text(bitmap: np.ndarray) -> str:
         lines.append(" ".join(str(int(v)) for v in bitmap[:, y]))
     return "\n".join(lines) + "\n"
 
-
-def write_pbm(bitmap: np.ndarray, out) -> None:
-    """Serialize a bitmap to a path or text stream in P1 format."""
-    text = pbm_text(bitmap)
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text)

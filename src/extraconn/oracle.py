@@ -4,7 +4,9 @@ Nothing in this module touches the closed forms; minima and maxima come
 from exhaustive search over vertex subsets, so the results certify the
 formula modules on small instances. Subsets are carried as integer bit
 masks (bit v set means vertex v is in), which keeps the inner loops at a
-few machine-word operations per step.
+few machine-word operations per step. Boundaries and connectivity come
+from graphs.mask_boundary and graphs.mask_connected; only the searches'
+per-vertex extension step reads a 2^n table of neighbour masks.
 
 Connected sets are grown by canonical extension: candidate vertices
 removed at one branching level stay excluded from the whole subtree, so
@@ -22,6 +24,8 @@ Every search takes an extension-step budget (default 10^9, any int >= 0)
 and raises ResourceLimitError once it is spent, so no call runs without
 bound. The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
 sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
+enumerate_connected_subsets and sample_cuts check their arguments at the
+call and then return a generator.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     DomainError,
     ResourceLimitError,
 )
-from .graphs import GraphSpec
+from .graphs import GraphSpec, mask_boundary, mask_connected
 
 DEFAULT_EXTENSION_BUDGET = 10**9
 MAX_ALL_SUBSET_DIMENSION = 4  # ex_bruteforce sweeps all subsets up to here
@@ -71,35 +75,8 @@ def _over_budget(limit: int) -> ResourceLimitError:
 
 @lru_cache(maxsize=None)
 def _neighbor_masks(spec: GraphSpec) -> tuple[int, ...]:
+    """Per-vertex neighbour masks, for the searches' one-vertex extension step."""
     return tuple(sum(1 << (v ^ g) for g in spec.generators) for v in range(spec.num_vertices))
-
-
-def _mask_connected(mask: int, nbr: tuple[int, ...]) -> bool:
-    """Connectivity of the induced subgraph on the masked vertices."""
-    if mask == 0:
-        return True
-    seen = mask & -mask
-    frontier = seen
-    while frontier:
-        reach = 0
-        f = frontier
-        while f:
-            bit = f & -f
-            f ^= bit
-            reach |= nbr[bit.bit_length() - 1]
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
-def _mask_boundary(mask: int, nbr: tuple[int, ...], degree: int) -> int:
-    inside = 0
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        inside += (nbr[bit.bit_length() - 1] & mask).bit_count()
-    return degree * mask.bit_count() - inside
 
 
 def _members(mask: int) -> frozenset[int]:
@@ -119,9 +96,13 @@ def _check_search(spec: GraphSpec, budget: int) -> None:
 def enumerate_connected_subsets(
     spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET
 ) -> Iterator[frozenset[int]]:
-    """Yield every size-m vertex set inducing a connected subgraph, once each."""
+    """Every size-m vertex set inducing a connected subgraph, once each, lazily."""
     _check_search(spec, budget)
     DomainError.require(m, 1, spec.num_vertices, "m")
+    return _connected_subsets(spec, m, budget)
+
+
+def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozenset[int]]:
     nbr = _neighbor_masks(spec)
     steps = 0
     for v in range(spec.num_vertices):
@@ -170,8 +151,8 @@ def xi_bruteforce_sweep(
     witness: list[int | None] = [None] * (m_max + 1)
     for m in range(1, m_max + 1):
         segment = (1 << m) - 1
-        if _mask_connected(segment, nbr) and _mask_connected(full ^ segment, nbr):
-            best[m] = _mask_boundary(segment, nbr, degree)
+        if mask_connected(spec, segment) and mask_connected(spec, full ^ segment):
+            best[m] = mask_boundary(spec, segment)
             witness[m] = segment
 
     def thresholds() -> list[int]:
@@ -198,7 +179,7 @@ def xi_bruteforce_sweep(
             wnbr = nbr[wbit.bit_length() - 1]
             grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
             grown = sub | wbit
-            if grown_bound < best[grown_size] and _mask_connected(full ^ grown, nbr):
+            if grown_bound < best[grown_size] and mask_connected(spec, full ^ grown):
                 best[grown_size] = grown_bound
                 witness[grown_size] = grown
                 thr = thresholds()
@@ -240,28 +221,26 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGE
     """
     _check_search(spec, budget)
     DomainError.require(m, 1, spec.num_vertices, "m")
-    nbr = _neighbor_masks(spec)
     degree = spec.degree
     steps = 0
 
     if spec.n <= MAX_ALL_SUBSET_DIMENSION:
         top = 0
-        for combo in combinations(range(1, spec.num_vertices), m - 1):
+        others = [1 << v for v in range(1, spec.num_vertices)]
+        for combo in combinations(others, m - 1):
             steps += 1
             if steps > budget:
                 raise _over_budget(budget)
-            mask = 1
-            for v in combo:
-                mask |= 1 << v
-            doubled = degree * m - _mask_boundary(mask, nbr, degree)
+            doubled = degree * m - mask_boundary(spec, 1 + sum(combo))
             if doubled > top:
                 top = doubled
         return top
 
     # n = 5: branch and bound for maximum edges over connected sets. A set of
     # size j can gain at most min(j, degree) edges per added vertex.
+    nbr = _neighbor_masks(spec)
     segment = (1 << m) - 1
-    top = degree * m - _mask_boundary(segment, nbr, degree) if _mask_connected(segment, nbr) else 0
+    top = degree * m - mask_boundary(spec, segment) if mask_connected(spec, segment) else 0
     allowance = [0] * (m + 1)
     for j in range(m - 1, 0, -1):
         allowance[j] = allowance[j + 1] + 2 * min(j, degree)
@@ -295,17 +274,21 @@ def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]
     keeps it only if the complement is connected too; up to SAMPLE_RETRIES
     regrowths are attempted before the sample is skipped. The generator is
     random.Random (Mersenne Twister), so a fixed seed replays the identical
-    stream on any platform.
+    stream on any platform. The seed is an int >= 0 (random.Random seeds by
+    absolute value, so a negative seed would replay its mirror).
     """
     DomainError.require(spec.n, 2, MAX_SAMPLING_DIMENSION, "n")
     DomainError.require(samples, 0, None, "samples")
-    nbr = _neighbor_masks(spec)
+    DomainError.require(seed, 0, None, "seed")
+    return _sampled_cuts(spec, samples, seed)
+
+
+def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]:
     total = spec.num_vertices
     adjacency = tuple(tuple(sorted(v ^ g for g in spec.generators)) for v in range(total))
-    degree = spec.degree
     full = (1 << total) - 1
     rng = random.Random(seed)
-    walk_cap = 64 * degree
+    walk_cap = 64 * spec.degree
 
     for _ in range(samples):
         for _attempt in range(SAMPLE_RETRIES):
@@ -324,10 +307,10 @@ def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]
                     size += 1
             if size < target:
                 continue
-            if _mask_connected(full ^ mask, nbr):
+            if mask_connected(spec, full ^ mask):
                 yield CutSample(
                     h=min(size, total - size),
-                    cut_size=_mask_boundary(mask, nbr, degree),
+                    cut_size=mask_boundary(spec, mask),
                     both_connected=True,
                 )
                 break

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from graph_reference import edge_count, lexicographic_set, neighbors
 
 from extraconn import (
     GraphSpec,
     boundary_size,
     breakpoints,
     concentration_report,
-    edge_count,
     ex_enhanced,
     ex_hypercube,
     ex_upper_bound_check,
@@ -28,8 +28,6 @@ from extraconn import (
     is_connected_subset,
     lambda_bruteforce,
     lambda_profile,
-    lexicographic_set,
-    neighbors,
     ratio_table,
     sample_cuts,
     split_identity_check,

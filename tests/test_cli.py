@@ -217,3 +217,12 @@ def test_verify_sample(runner):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "violations: 0"
+
+
+def test_verify_sample_refuses_negative_seed(runner):
+    # random.Random seeds by absolute value, so --seed -1 would replay --seed 1
+    result = runner.invoke(
+        main, ["verify", "--n", "9", "--k", "2", "--mode", "sample", "--seed", "-1"]
+    )
+    assert result.exit_code == 1
+    assert "seed=-1 outside [0, inf)" in result.output

@@ -20,8 +20,6 @@ from extraconn import (
     lambda_at,
     lambda_bruteforce,
     lambda_profile,
-    lexicographic_set,
-    neighbors,
     ratio_table,
     sample_cuts,
     split_identity_check,
@@ -38,9 +36,6 @@ Q32 = GraphSpec(3, 2)
 INTEGER_ARGUMENTS = [
     ("GraphSpec.n", lambda v: GraphSpec(v), 2),
     ("GraphSpec.k", lambda v: GraphSpec(4, v), 2),
-    ("neighbors.v", lambda v: neighbors(Q42, v), 2),
-    ("lexicographic_set.n", lambda v: lexicographic_set(v, 2), 2),
-    ("lexicographic_set.m", lambda v: lexicographic_set(4, v), 2),
     ("induced_double_edge_count.members", lambda v: induced_double_edge_count(Q42, [v]), 2),
     ("is_connected_subset.members", lambda v: is_connected_subset(Q42, [v]), 2),
     ("boundary_size.members", lambda v: boundary_size(Q42, [v]), 2),
@@ -81,6 +76,7 @@ INTEGER_ARGUMENTS = [
     ("ex_bruteforce.m", lambda v: ex_bruteforce(Q32, v), 2),
     ("ex_bruteforce.budget", lambda v: ex_bruteforce(Q32, 2, v), 100),
     ("sample_cuts.samples", lambda v: list(sample_cuts(Q32, v, 0)), 2),
+    ("sample_cuts.seed", lambda v: list(sample_cuts(Q32, 2, v)), 2),
 ]
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from graph_reference import lexicographic_set
 
 from extraconn import (
     DomainError,
@@ -10,7 +11,6 @@ from extraconn import (
     ex_hypercube,
     ex_upper_bound_check,
     induced_double_edge_count,
-    lexicographic_set,
     split_identity_check,
     xi,
 )

@@ -1,7 +1,9 @@
 import random
 
+import graph_reference as ref
 import numpy as np
 import pytest
+from graph_reference import edge_count, lexicographic_set, neighbors, write_pbm
 
 from extraconn import (
     DomainError,
@@ -9,14 +11,12 @@ from extraconn import (
     ResourceLimitError,
     adjacency_bitmap,
     boundary_size,
-    edge_count,
     induced_double_edge_count,
     is_connected_subset,
-    lexicographic_set,
-    neighbors,
     pbm_text,
-    write_pbm,
 )
+from extraconn.errors import MAX_SET_DIMENSION
+from extraconn.graphs import mask_boundary, mask_connected
 
 
 def test_spec_validation():
@@ -38,6 +38,9 @@ def test_neighbors_enhanced_small():
     # flipping any single bit, plus the complementary partner flipping bits 1..n-k+1
     assert neighbors(GraphSpec(3, 2), 0b000) == {0b001, 0b010, 0b100, 0b011}
     assert neighbors(GraphSpec(4), 0) == {1, 2, 4, 8}
+    # the package's edge definition agrees
+    assert set(GraphSpec(3, 2).generators) == {0b001, 0b010, 0b100, 0b011}
+    assert set(GraphSpec(4).generators) == {1, 2, 4, 8}
 
 
 def test_neighbors_regular_degree():
@@ -47,10 +50,17 @@ def test_neighbors_regular_degree():
 
 
 def test_neighbors_rejects_bad_vertex():
-    with pytest.raises(DomainError):
-        neighbors(GraphSpec(4, 2), 16)
-    with pytest.raises(DomainError):
-        neighbors(GraphSpec(4, 2), -1)
+    spec = GraphSpec(4, 2)
+    for call in (neighbors, lambda s, v: is_connected_subset(s, {0, v})):
+        with pytest.raises(DomainError):
+            call(spec, 16)
+        with pytest.raises(DomainError):
+            call(spec, -1)
+    for call in (boundary_size, induced_double_edge_count):
+        with pytest.raises(DomainError):
+            call(spec, {0, 16})
+        with pytest.raises(DomainError):
+            call(spec, {-1})
 
 
 @pytest.mark.parametrize(
@@ -58,7 +68,10 @@ def test_neighbors_rejects_bad_vertex():
     [(4, 2, 40), (3, None, 12), (5, 2, 96), (3, 2, 16), (3, 1, 16)],
 )
 def test_edge_count(n, k, expected):
-    assert edge_count(GraphSpec(n, k)) == expected
+    spec = GraphSpec(n, k)
+    assert edge_count(spec) == expected
+    assert adjacency_bitmap(spec).sum() == 2 * expected
+    assert induced_double_edge_count(spec, range(spec.num_vertices)) == 2 * expected
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 11) for k in (None, 1, 2) if k is None or k < n])
@@ -66,6 +79,7 @@ def test_handshake(n, k):
     spec = GraphSpec(n, k)
     total = sum(len(neighbors(spec, v)) for v in range(spec.num_vertices))
     assert total == 2 * edge_count(spec)
+    assert induced_double_edge_count(spec, range(spec.num_vertices)) == total
 
 
 def test_lexicographic_set():
@@ -213,3 +227,64 @@ def test_pbm_non_square():
     bitmap = np.array([[0, 1, 1], [0, 0, 1]])
     assert pbm_text(bitmap) == "P1\n2 3\n0 0\n1 0\n1 1\n"
     assert pbm_text(bitmap.T) == "P1\n3 2\n0 1 1\n0 0 1\n"
+
+
+def _reference_cases(n, rng):
+    # the empty, singleton and full sets; lexicographic segments and their
+    # complements (every m up to n = 6, a sample above); seeded random sets
+    # at random densities, so both connected and disconnected sets occur
+    total = 1 << n
+    everything = frozenset(range(total))
+    cases = [frozenset(), frozenset({rng.randrange(total)}), everything]
+    if n <= 6:
+        sizes = range(1, total)
+    else:
+        quarter, half = total // 4, total // 2
+        sizes = {1, 2, 3, quarter - 1, quarter, quarter + 1, half - 1, half, half + 1, total - 1}
+        sizes |= {rng.randrange(1, total) for _ in range(4)}
+    for m in sorted(sizes):
+        segment = frozenset(range(m))
+        cases += [segment, everything - segment]
+    for _ in range(40 if n <= 8 else 6):
+        density = rng.random()
+        cases.append(frozenset(v for v in range(total) if rng.random() < density))
+    return cases
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_set_functions_match_reference(n):
+    rng = random.Random(7000 + n)
+    cases = _reference_cases(n, rng)
+    for k in dict.fromkeys((None, 1, 2, n - 1)):
+        if k is not None and k >= n:
+            continue
+        spec = GraphSpec(n, k)
+        for members in cases:
+            inside = ref.induced_double_edges(spec, members)
+            connected = ref.connected(spec, members)
+            assert induced_double_edge_count(spec, members) == inside
+            assert is_connected_subset(spec, members) == connected
+            if 0 < len(members) < spec.num_vertices:
+                assert boundary_size(spec, members) == spec.degree * len(members) - inside
+            mask = sum(1 << v for v in members)
+            assert mask_boundary(spec, mask) == spec.degree * len(members) - inside
+            assert mask_connected(spec, mask) == connected
+
+
+def test_set_dimension_cap():
+    assert MAX_SET_DIMENSION == 20
+    spec = GraphSpec(20, 2)
+    assert is_connected_subset(spec, {0, 1})
+    assert not is_connected_subset(spec, {0, 3})
+    assert boundary_size(spec, {5}) == 21
+    assert boundary_size(spec, range(spec.half)) == spec.half
+    assert len(spec.block_swaps) == 21
+    with pytest.raises(DomainError):
+        is_connected_subset(GraphSpec(21), {0, 1})
+    with pytest.raises(DomainError):
+        induced_double_edge_count(GraphSpec(21, 2), [0])
+    # refused before the members are read
+    with pytest.raises(DomainError):
+        boundary_size(GraphSpec(62), range(2**40))
+    with pytest.raises(DomainError):
+        GraphSpec(62).block_swaps

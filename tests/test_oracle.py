@@ -1,6 +1,7 @@
 import inspect
 from itertools import combinations
 
+import graph_reference as ref
 import pytest
 
 import extraconn
@@ -8,12 +9,10 @@ from extraconn import (
     DomainError,
     GraphSpec,
     ResourceLimitError,
-    boundary_size,
     enumerate_connected_subsets,
     ex_bruteforce,
     ex_enhanced,
     ex_hypercube,
-    induced_double_edge_count,
     is_connected_subset,
     lambda_bruteforce,
     lambda_profile,
@@ -53,6 +52,20 @@ def test_enumerate_yields_each_connected_set_once(m):
 def test_enumerate_rejects_large_dimension():
     with pytest.raises(DomainError):
         list(enumerate_connected_subsets(GraphSpec(6, 2), 3))
+
+
+def test_generators_check_arguments_at_the_call():
+    # no iteration: the bad argument is refused when the call is made
+    with pytest.raises(DomainError):
+        enumerate_connected_subsets(GraphSpec(9, 2), 2)
+    with pytest.raises(DomainError):
+        enumerate_connected_subsets(GraphSpec(4, 2), 17)
+    with pytest.raises(DomainError):
+        sample_cuts(GraphSpec(4, 2), 2.0, 0)
+    with pytest.raises(DomainError):
+        sample_cuts(GraphSpec(13, 2), 1, 0)
+    with pytest.raises(DomainError):
+        sample_cuts(GraphSpec(4, 2), 1, -1)
 
 
 def test_enumerate_budget_exhaustion():
@@ -97,9 +110,9 @@ def test_xi_bruteforce_witness_revalidates():
         assert [result.m for result in results] == list(range(1, m_max + 1))
         for result in results:
             assert len(result.witness) == result.m
-            assert is_connected_subset(spec, result.witness)
-            assert is_connected_subset(spec, everything - result.witness)
-            assert boundary_size(spec, result.witness) == result.xi_exact
+            assert ref.connected(spec, result.witness)
+            assert ref.connected(spec, everything - result.witness)
+            assert ref.boundary(spec, result.witness) == result.xi_exact
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -132,9 +145,9 @@ def test_pruned_search_agrees_with_plain_enumeration(k):
     everything = frozenset(range(spec.num_vertices))
     for m in range(1, 9):
         plain_min = min(
-            boundary_size(spec, members)
+            ref.boundary(spec, members)
             for members in enumerate_connected_subsets(spec, m)
-            if is_connected_subset(spec, everything - members)
+            if ref.connected(spec, everything - members)
         )
         assert xi_bruteforce(spec, m).xi_exact == plain_min
 
@@ -174,7 +187,7 @@ def test_ex_bruteforce_matches_unrooted_sweep_n4(k):
     spec = GraphSpec(4, k)
     for m in range(1, 17):
         expected = max(
-            induced_double_edge_count(spec, combo) for combo in combinations(range(16), m)
+            ref.induced_double_edges(spec, combo) for combo in combinations(range(16), m)
         )
         assert ex_bruteforce(spec, m) == expected
 
@@ -185,7 +198,7 @@ def test_ex_bruteforce_matches_connected_enumeration_n5(k):
     spec = GraphSpec(5, k)
     for m in range(1, 6):
         expected = max(
-            induced_double_edge_count(spec, members)
+            ref.induced_double_edges(spec, members)
             for members in enumerate_connected_subsets(spec, m)
         )
         assert ex_bruteforce(spec, m) == expected
