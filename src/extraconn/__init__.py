@@ -16,19 +16,9 @@ from .concentration import (
     lambda_at,
     lambda_profile,
     ratio_table,
-    table2_breakpoints,
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import (
-    SplitIdentity,
-    binary_decomposition,
-    ex,
-    ex_enhanced,
-    ex_hypercube,
-    ex_upper_bound_check,
-    split_identity_check,
-    xi,
-)
+from .extremal import ex, xi
 from .graphs import (
     GraphSpec,
     adjacency_bitmap,
@@ -42,9 +32,7 @@ from .oracle import (
     OracleResult,
     enumerate_connected_subsets,
     ex_bruteforce,
-    lambda_bruteforce,
     sample_cuts,
-    xi_bruteforce,
     xi_bruteforce_sweep,
 )
 
@@ -59,32 +47,23 @@ __all__ = [
     "OracleResult",
     "RatioRow",
     "ResourceLimitError",
-    "SplitIdentity",
     "VerificationError",
     "XiProfile",
     "adjacency_bitmap",
-    "binary_decomposition",
     "boundary_size",
     "breakpoints",
     "concentration_report",
     "enumerate_connected_subsets",
     "ex",
     "ex_bruteforce",
-    "ex_enhanced",
-    "ex_hypercube",
-    "ex_upper_bound_check",
     "h_min",
     "induced_double_edge_count",
     "is_connected_subset",
     "lambda_at",
-    "lambda_bruteforce",
     "lambda_profile",
     "pbm_text",
     "ratio_table",
     "sample_cuts",
-    "split_identity_check",
-    "table2_breakpoints",
     "xi",
-    "xi_bruteforce",
     "xi_bruteforce_sweep",
 ]

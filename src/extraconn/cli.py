@@ -22,7 +22,6 @@ from .concentration import (
     lambda_profile,
     ratio_table,
     suffix_minima,
-    table2_breakpoints,
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
 from .extremal import ex, xi
@@ -156,8 +155,7 @@ def profile_cmd(n, family, k, out, fmt):
 @_handle_errors
 def breakpoints_cmd(n):
     """The h values where lambda is optimal inside the constant interval."""
-    points = table2_breakpoints(n) if 4 <= n <= 8 else breakpoints(n)
-    click.echo(" ".join(str(v) for v in points.values))
+    click.echo(" ".join(str(v) for v in breakpoints(n).values))
 
 
 @main.command("concentration")

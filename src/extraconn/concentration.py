@@ -4,7 +4,9 @@ lambda_h is the minimum of xi_m over h <= m <= 2^(n-1): the smallest cut
 whose removal leaves two connected components of at least h vertices each.
 For Q_{n,2} with n >= 9 it is the constant 2^(n-1) on the whole interval
 [ceil(11*2^(n-1)/48), 2^(n-1)]; the breakpoints m_{n,r} partition that
-interval and are exactly the h values where lambda_h = xi_h.
+interval and are exactly the h values where lambda_h = xi_h. breakpoints
+answers 4 <= n <= 62, reading n <= 8 from a small table; the
+concentration report takes 9 <= n <= 62.
 
 A profile stores every xi_m and takes their suffix minima (n <= 26). A
 point query and the concentration report never touch single values of m:
@@ -28,8 +30,6 @@ from .errors import (
 )
 from .extremal import ex, xi
 from .graphs import GraphSpec
-
-_TABLE2_HINT = "; dimensions 4..8 are enumerated by table2_breakpoints"
 
 
 @dataclass(frozen=True)
@@ -165,16 +165,30 @@ def h_min(n: int) -> int:
     return (11 * (1 << (n - 1)) + 47) // 48
 
 
-def breakpoints(n: int) -> Breakpoints:
-    """Breakpoint values for 9 <= n <= 62, from the four-range definition.
+# Small dimensions do not realize all four ranges of the general pattern;
+# their breakpoint sequences are enumerated directly.
+_SMALL_BREAKPOINTS = {
+    4: (1,),
+    5: (4, 16),
+    6: (8, 32),
+    7: (15, 16, 64),
+    8: (30, 32, 128),
+}
 
-    With f the parity flag of n and r running to ceil(n/2)-1: the early
-    values add a three-term leading block, a geometric middle block and a
-    single low power 2^(2r-1-f); the last three values are the fixed
-    patterns summing four leading powers, 2^(n-3), and 2^(n-1).
+
+def breakpoints(n: int) -> Breakpoints:
+    """Breakpoint values for 4 <= n <= 62; n <= 8 is read from a small table.
+
+    From n = 9 on they follow the four-range definition. With f the parity
+    flag of n and r running to ceil(n/2)-1: the early values add a
+    three-term leading block, a geometric middle block and a single low
+    power 2^(2r-1-f); the last three values are the fixed patterns summing
+    four leading powers, 2^(n-3), and 2^(n-1).
     """
-    DomainError.require(n, 9, MAX_DIMENSION, "n", _TABLE2_HINT)
+    DomainError.require(n, 4, MAX_DIMENSION, "n")
     f = n & 1
+    if n in _SMALL_BREAKPOINTS:
+        return Breakpoints(n, f, _SMALL_BREAKPOINTS[n])
     count = (n + 1) // 2 - 1
     values = []
     for r in range(1, count + 1):
@@ -189,23 +203,6 @@ def breakpoints(n: int) -> Breakpoints:
         else:
             values.append(1 << (n - 1))
     return Breakpoints(n, f, tuple(values))
-
-
-# Small dimensions do not realize all four ranges of the general pattern;
-# their breakpoint sequences are enumerated directly.
-_SMALL_BREAKPOINTS = {
-    4: (1,),
-    5: (4, 16),
-    6: (8, 32),
-    7: (15, 16, 64),
-    8: (30, 32, 128),
-}
-
-
-def table2_breakpoints(n: int) -> Breakpoints:
-    """Enumerated breakpoint values for 4 <= n <= 8."""
-    DomainError.require(n, 4, 8, "n")
-    return Breakpoints(n, n & 1, _SMALL_BREAKPOINTS[n])
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,7 @@ def concentration_report(n: int) -> ConcentrationReport:
     failure raises VerificationError carrying the offending h; that signals
     an implementation bug, never a property of the graphs.
     """
-    DomainError.require(n, 9, MAX_DIMENSION, "n", _TABLE2_HINT)
+    DomainError.require(n, 9, MAX_DIMENSION, "n")
     family = GraphSpec(n, 2)
     lo = h_min(n)
     half = family.half

@@ -22,18 +22,18 @@ class DomainError(ValueError):
     # every function one extraconn module imports from another, and this
     # module is not one of its layers.
     @staticmethod
-    def require(value, lo: int, hi: int | None, name: str, hint: str = "") -> None:
+    def require(value, lo: int, hi: int | None, name: str) -> None:
         """Raise unless type(value) is int and lo <= value <= hi.
 
         A bool, a float or a numpy integer is refused, whatever its value.
-        hi=None leaves the range unbounded above; hint is appended to the
-        message, which reads "<name>=<value> outside [lo, hi]".
+        hi=None leaves the range unbounded above. The message reads
+        "<name>=<value> outside [lo, hi]".
         """
         if type(value) is not int:
-            raise DomainError(f"{name}={value!r} is not an int{hint}")
+            raise DomainError(f"{name}={value!r} is not an int")
         if value < lo or (hi is not None and value > hi):
             upper = "inf)" if hi is None else f"{hi}]"
-            raise DomainError(f"{name}={value} outside [{lo}, {upper}{hint}")
+            raise DomainError(f"{name}={value} outside [{lo}, {upper}")
 
 
 class ResourceLimitError(RuntimeError):

@@ -2,11 +2,16 @@
 
 Nothing in this module touches the closed forms; minima and maxima come
 from exhaustive search over vertex subsets, so the results certify the
-formula modules on small instances. Subsets are carried as integer bit
-masks (bit v set means vertex v is in), which keeps the inner loops at a
-few machine-word operations per step. Boundaries and connectivity come
-from graphs.mask_boundary and graphs.mask_connected; only the searches'
-per-vertex extension step reads a 2^n table of neighbour masks.
+formula modules on small instances. xi_bruteforce_sweep answers every
+1 <= m <= m_max in one search. The exact lambda_h are the suffix minima of
+its values: a minimum cut meeting the size constraint leaves exactly two
+components, one of which has some size m in [h, 2^(n-1)].
+
+Subsets are carried as integer bit masks (bit v set means vertex v is
+in), which keeps the inner loops at a few machine-word operations per
+step. Boundaries and connectivity come from graphs.mask_boundary and
+graphs.mask_connected; only the searches' per-vertex extension step reads
+a 2^n table of neighbour masks.
 
 Connected sets are grown by canonical extension: candidate vertices
 removed at one branching level stay excluded from the whole subtree, so
@@ -191,24 +196,6 @@ def xi_bruteforce_sweep(
             raise RuntimeError(f"no size-{m} set with both sides connected was found")
         results.append(OracleResult(spec.n, spec.k, m, best[m], _members(witness[m])))
     return results
-
-
-def xi_bruteforce(
-    spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET
-) -> OracleResult:
-    """Exact minimum boundary over size-m sets with both sides connected."""
-    return xi_bruteforce_sweep(spec, m, budget)[m - 1]
-
-
-def lambda_bruteforce(spec: GraphSpec, h: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
-    """Exact lambda_h: minimum of the exact xi_m over h <= m <= 2^(n-1).
-
-    Valid because a minimum cut meeting the size constraint leaves exactly
-    two components, one of which has some size m in that range.
-    """
-    DomainError.require(h, 1, spec.half, "h")
-    results = xi_bruteforce_sweep(spec, spec.half, budget)
-    return min(result.xi_exact for result in results[h - 1 :])
 
 
 def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:

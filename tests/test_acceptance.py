@@ -13,6 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from extremal_reference import (
+    binary_decomposition,
+    ex_table,
+    ex_upper_bound_check,
+    split_identity_check,
+)
 from graph_reference import edge_count, lexicographic_set, neighbors
 
 from extraconn import (
@@ -20,24 +26,17 @@ from extraconn import (
     boundary_size,
     breakpoints,
     concentration_report,
-    ex_enhanced,
-    ex_hypercube,
-    ex_upper_bound_check,
+    ex,
     h_min,
     induced_double_edge_count,
     is_connected_subset,
-    lambda_bruteforce,
     lambda_profile,
     ratio_table,
     sample_cuts,
-    split_identity_check,
-    table2_breakpoints,
     xi,
-    xi_bruteforce,
     xi_bruteforce_sweep,
 )
 from extraconn.cli import main as cli_main
-from extraconn.extremal import binary_decomposition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -85,7 +84,7 @@ def test_criterion_2_breakpoint_tables():
         assert breakpoints(10).values == (118, 120, 128, 512)
         expected_small = {4: (1,), 5: (4, 16), 6: (8, 32), 7: (15, 16, 64), 8: (30, 32, 128)}
         for n, values in expected_small.items():
-            assert table2_breakpoints(n).values == values
+            assert breakpoints(n).values == values
         assert time.monotonic() - start < 1.0
 
 
@@ -162,9 +161,11 @@ def test_criterion_5_oracle_equivalence(q52_sweep):
         family4 = GraphSpec(4, 2)
         for result in results4:
             assert result.xi_exact == xi(family4, result.m)
+        # exact lambda: suffix minima of the exact xi values
+        exact4 = [r.xi_exact for r in results4]
         profile4 = lambda_profile(family4)
         for h in range(1, 9):
-            assert lambda_bruteforce(GraphSpec(4, 2), h) == profile4.lambda_at(h)
+            assert min(exact4[h - 1 :]) == profile4.lambda_at(h)
         elapsed4 = time.monotonic() - start4
         assert elapsed4 < 1.0
 
@@ -177,16 +178,14 @@ def test_criterion_5_oracle_equivalence(q52_sweep):
             suffix[i] = min(suffix[i], suffix[i + 1])
         profile5 = lambda_profile(family5)
         assert suffix == [profile5.lambda_at(h) for h in range(1, 17)]
-        # the single-m entry point agrees with the sweep
-        assert xi_bruteforce(GraphSpec(5, 2), 5).xi_exact == results5[4].xi_exact
         assert elapsed5 < 600.0
 
 
 def test_criterion_6_worked_examples():
     with criterion(6, "worked examples n=4"):
         spec = GraphSpec(4, 2)
-        assert ex_enhanced(4, 4) == 8
-        assert ex_enhanced(4, 8) == 32
+        assert ex(spec, 4) == 8
+        assert ex(spec, 8) == 32
         assert induced_double_edge_count(spec, lexicographic_set(4, 4)) == 8
         assert induced_double_edge_count(spec, lexicographic_set(4, 8)) == 32
 
@@ -195,9 +194,7 @@ def test_criterion_7_property_suites():
     with criterion(7, "property suites"):
         # superadditivity, full sweep through n=12
         for n in range(4, 13):
-            table = np.array(
-                [0] + [ex_hypercube(n, m) for m in range(1, (1 << n) + 1)], dtype=np.int64
-            )
+            table = ex_table(n)
             top = 1 << n
             for m0 in range(1, top // 2 + 1):
                 m1 = np.arange(m0, top - m0 + 1)

@@ -138,6 +138,13 @@ def test_breakpoints_command(runner):
     assert result.output.startswith("error:")
 
 
+def test_breakpoints_small_n_message(runner):
+    # breakpoints answers 4..62, so the message names that range
+    result = runner.invoke(main, ["breakpoints", "--n", "3"])
+    assert result.exit_code == 1
+    assert "outside [4, 62]" in result.output
+
+
 def test_concentration_command(runner):
     result = runner.invoke(main, ["concentration", "--n", "9"])
     assert result.exit_code == 0
@@ -157,7 +164,7 @@ def test_concentration_command_up_to_n62(runner):
 def test_concentration_small_n_exit_1(runner):
     result = runner.invoke(main, ["concentration", "--n", "8"])
     assert result.exit_code == 1
-    assert "table2" in result.output
+    assert "outside [9, 62]" in result.output
 
 
 def test_ratio_command(runner, tmp_path):

@@ -16,7 +16,6 @@ from extraconn import (
     lambda_at,
     lambda_profile,
     ratio_table,
-    table2_breakpoints,
     xi,
 )
 
@@ -143,7 +142,7 @@ def test_breakpoints_tables():
     assert breakpoints(9).f == 1
     assert breakpoints(10).f == 0
     with pytest.raises(DomainError):
-        breakpoints(8)
+        breakpoints(3)
     assert breakpoints(62).values[-1] == 1 << 61
     with pytest.raises(DomainError):
         breakpoints(63)
@@ -159,15 +158,15 @@ def test_breakpoints_shape(n):
 
 
 def test_table2_breakpoints():
-    assert table2_breakpoints(4).values == (1,)
-    assert table2_breakpoints(5).values == (4, 16)
-    assert table2_breakpoints(6).values == (8, 32)
-    assert table2_breakpoints(7).values == (15, 16, 64)
-    assert table2_breakpoints(8).values == (30, 32, 128)
+    # n = 4..8 do not realize the general pattern; breakpoints reads a table
+    assert breakpoints(4).values == (1,)
+    assert breakpoints(5).values == (4, 16)
+    assert breakpoints(6).values == (8, 32)
+    assert breakpoints(7).values == (15, 16, 64)
+    assert breakpoints(8).values == (30, 32, 128)
+    assert [breakpoints(n).f for n in range(4, 9)] == [0, 1, 0, 1, 0]
     with pytest.raises(DomainError):
-        table2_breakpoints(3)
-    with pytest.raises(DomainError):
-        table2_breakpoints(9)
+        breakpoints(3)
 
 
 @pytest.mark.parametrize("n", range(9, 15))

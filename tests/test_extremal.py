@@ -1,19 +1,18 @@
 import random
 
+import graph_reference
 import pytest
-from graph_reference import lexicographic_set
-
-from extraconn import (
-    DomainError,
-    GraphSpec,
+from extremal_reference import (
     binary_decomposition,
     ex_enhanced,
     ex_hypercube,
+    ex_table,
     ex_upper_bound_check,
-    induced_double_edge_count,
     split_identity_check,
-    xi,
 )
+from graph_reference import lexicographic_set
+
+from extraconn import DomainError, GraphSpec, ex, induced_double_edge_count, xi
 
 
 def test_binary_decomposition_examples():
@@ -41,44 +40,38 @@ def test_binary_decomposition_rejects_nonpositive():
 
 
 def test_ex_hypercube_examples():
-    assert ex_hypercube(4, 4) == 8
-    assert ex_hypercube(4, 8) == 24
-    assert ex_hypercube(5, 6) == 14
+    plain = GraphSpec(4)
+    assert ex(plain, 4) == ex_hypercube(4, 4) == 8
+    assert ex(plain, 8) == ex_hypercube(4, 8) == 24
+    assert ex(GraphSpec(5), 6) == ex_hypercube(5, 6) == 14
     with pytest.raises(DomainError):
-        ex_hypercube(4, 0)
+        ex(plain, 0)
     with pytest.raises(DomainError):
-        ex_hypercube(4, 17)
+        ex(plain, 17)
 
 
 def test_ex_enhanced_examples():
-    assert ex_enhanced(4, 8) == 32
-    assert ex_enhanced(4, 4) == 8
-    assert ex_enhanced(5, 6) == 14
+    enhanced = GraphSpec(4, 2)
+    assert ex(enhanced, 8) == ex_enhanced(4, 8) == 32
+    assert ex(enhanced, 4) == ex_enhanced(4, 4) == 8
+    assert ex(GraphSpec(5, 2), 6) == ex_enhanced(5, 6) == 14
     with pytest.raises(DomainError):
-        ex_enhanced(4, 0)
+        ex(enhanced, 0)
     with pytest.raises(DomainError):
-        ex_enhanced(2, 2)
-
-
-def _ex_enhanced_branches(n, m):
-    # the four-range piecewise definition, written out range by range
-    half = 1 << (n - 1)
-    quarter = 1 << (n - 2)
-    base = ex_hypercube(n, m)
-    if m <= quarter:
-        return base
-    if m <= half:
-        return base + 2 * m - half
-    x = m - half
-    if x < quarter:
-        return base + half
-    return base + 2 * x
+        ex(enhanced, 17)
+    with pytest.raises(DomainError):
+        GraphSpec(2, 2)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_ex_enhanced_matches_piecewise_definition(n):
+    # the references share no code with ex: Hart's identity for Q_n, and
+    # the four-range piecewise credit on top of it for Q_{n,2}
+    plain = GraphSpec(n)
+    enhanced = GraphSpec(n, 2)
     for m in range(1, (1 << n) + 1):
-        assert ex_enhanced(n, m) == _ex_enhanced_branches(n, m)
+        assert ex(plain, m) == ex_hypercube(n, m)
+        assert ex(enhanced, m) == ex_enhanced(n, m)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -87,15 +80,33 @@ def test_closed_forms_match_graph_counts(n):
     enhanced = GraphSpec(n, 2)
     for m in range(1, (1 << (n - 1)) + 1):
         segment = lexicographic_set(n, m)
-        assert ex_hypercube(n, m) == induced_double_edge_count(plain, segment)
-        assert ex_enhanced(n, m) == induced_double_edge_count(enhanced, segment)
+        assert ex(plain, m) == induced_double_edge_count(plain, segment)
+        assert ex(enhanced, m) == induced_double_edge_count(enhanced, segment)
 
 
 def test_ex_enhanced_upper_range_matches_graph_counts():
-    # ex is defined beyond half the vertices even though xi is not
-    spec = GraphSpec(4, 2)
-    for m in range(9, 17):
-        assert ex_enhanced(4, m) == induced_double_edge_count(spec, lexicographic_set(4, m))
+    # ex is defined beyond half the vertices even though xi is not: every
+    # m in (2^(n-1), 2^n], on both families, against the segment counted
+    # vertex by vertex
+    for n in range(3, 9):
+        for spec in (GraphSpec(n), GraphSpec(n, 2)):
+            for m in range(spec.half + 1, spec.num_vertices + 1):
+                segment = lexicographic_set(n, m)
+                assert ex(spec, m) == graph_reference.induced_double_edges(spec, segment)
+
+
+def test_refusal_order():
+    # ex refuses a family without a closed form before it checks m; xi
+    # checks m first
+    folded = GraphSpec(5, 1)
+    with pytest.raises(DomainError, match="no closed form"):
+        ex(folded, 0)
+    with pytest.raises(DomainError, match="no closed form"):
+        ex(folded, 3)
+    with pytest.raises(DomainError, match=r"^m=0 outside \[1, 16\]$"):
+        xi(folded, 0)
+    with pytest.raises(DomainError, match="no closed form"):
+        xi(folded, 3)
 
 
 def test_xi_values():
@@ -113,8 +124,12 @@ def test_xi_rejects_above_half():
 
 
 def test_xi_at_half_is_half():
-    for n in range(9, 21):
-        assert xi(GraphSpec(n, 2), 1 << (n - 1)) == 1 << (n - 1)
+    # at m = 2^(n-1) the complementary edges add exactly 2^(n-1) to ex
+    for n in range(3, 63):
+        half = 1 << (n - 1)
+        assert ex(GraphSpec(n), half) == (n - 1) * half
+        assert ex(GraphSpec(n, 2), half) == n * half
+        assert xi(GraphSpec(n, 2), half) == half
 
 
 def test_family_validation():
@@ -129,7 +144,7 @@ def test_superadditivity_full_sweep(n):
     # ex_{m0+m1} >= ex_{m0} + ex_{m1} + 2*m0 for m0 <= m1
     import numpy as np
 
-    table = np.array([0] + [ex_hypercube(n, m) for m in range(1, (1 << n) + 1)], dtype=np.int64)
+    table = ex_table(n)
     top = 1 << n
     for m0 in range(1, top // 2 + 1):
         m1 = np.arange(m0, top - m0 + 1)
@@ -142,14 +157,15 @@ def test_superadditivity_random_large_n():
         n = rng.randint(13, 30)
         m0 = rng.randint(1, (1 << n) // 2)
         m1 = rng.randint(m0, (1 << n) - m0)
-        assert ex_hypercube(n, m0 + m1) >= ex_hypercube(n, m0) + ex_hypercube(n, m1) + 2 * m0
+        plain = GraphSpec(n)
+        assert ex(plain, m0 + m1) >= ex(plain, m0) + ex(plain, m1) + 2 * m0
 
 
 def test_split_identity_examples():
     check = split_identity_check(6, 12, 0)
     assert (check.m1, check.m2) == (8, 4)
     assert check.lhs == check.rhs_statement == check.rhs_proof
-    assert check.lhs == ex_enhanced(6, 8) + ex_enhanced(6, 4) + 8
+    assert check.lhs == ex(GraphSpec(6, 2), 8) + ex(GraphSpec(6, 2), 4) + 8
 
     # upper range: the two candidate corrections split apart
     check = split_identity_check(5, 12, 0)

@@ -10,15 +10,12 @@ from extraconn import (
     GraphSpec,
     ResourceLimitError,
     enumerate_connected_subsets,
+    ex,
     ex_bruteforce,
-    ex_enhanced,
-    ex_hypercube,
     is_connected_subset,
-    lambda_bruteforce,
     lambda_profile,
     sample_cuts,
     xi,
-    xi_bruteforce,
     xi_bruteforce_sweep,
 )
 from extraconn.oracle import DEFAULT_EXTENSION_BUDGET
@@ -78,8 +75,6 @@ _BUDGETED = {
         enumerate_connected_subsets(spec, 2, budget)
     ),
     "xi_bruteforce_sweep": lambda spec, budget: xi_bruteforce_sweep(spec, 2, budget),
-    "xi_bruteforce": lambda spec, budget: xi_bruteforce(spec, 2, budget),
-    "lambda_bruteforce": lambda spec, budget: lambda_bruteforce(spec, 2, budget),
     "ex_bruteforce": lambda spec, budget: ex_bruteforce(spec, 2, budget),
 }
 
@@ -96,9 +91,9 @@ def test_budget_default_and_domain():
 
 
 def test_xi_bruteforce_examples():
-    spec = GraphSpec(4, 2)
-    assert xi_bruteforce(spec, 4).xi_exact == 12
-    assert xi_bruteforce(spec, 8).xi_exact == 8
+    results = xi_bruteforce_sweep(GraphSpec(4, 2), 8)
+    assert results[3].xi_exact == 12
+    assert results[7].xi_exact == 8
 
 
 def test_xi_bruteforce_witness_revalidates():
@@ -119,7 +114,7 @@ def test_xi_bruteforce_witness_revalidates():
 def test_oracle_matches_formula_plain(n):
     spec = GraphSpec(n)
     for result in xi_bruteforce_sweep(spec, spec.num_vertices // 2):
-        assert result.xi_exact == n * result.m - ex_hypercube(n, result.m)
+        assert result.xi_exact == n * result.m - ex(spec, result.m)
 
 
 def test_oracle_matches_formula_enhanced_n4():
@@ -143,23 +138,26 @@ def test_pruned_search_agrees_with_plain_enumeration(k):
     # Q_{4,1} has no closed form, so this is its only independent check
     spec = GraphSpec(4, k)
     everything = frozenset(range(spec.num_vertices))
+    results = xi_bruteforce_sweep(spec, 8)
     for m in range(1, 9):
         plain_min = min(
             ref.boundary(spec, members)
             for members in enumerate_connected_subsets(spec, m)
             if ref.connected(spec, everything - members)
         )
-        assert xi_bruteforce(spec, m).xi_exact == plain_min
+        assert results[m - 1].xi_exact == plain_min
 
 
 def test_lambda_bruteforce():
+    # exact lambda_h: the minimum of the exact xi_m over h <= m <= 2^(n-1)
     spec = GraphSpec(4, 2)
-    assert lambda_bruteforce(spec, 3) == 8
-    profile = lambda_profile(GraphSpec(4, 2))
-    for h in range(1, 9):
-        assert lambda_bruteforce(spec, h) == profile.lambda_at(h)
+    exact = [result.xi_exact for result in xi_bruteforce_sweep(spec, 8)]
+    lambdas = [min(exact[h - 1 :]) for h in range(1, 9)]
+    assert lambdas[2] == 8
+    profile = lambda_profile(spec)
+    assert lambdas == [profile.lambda_at(h) for h in range(1, 9)]
     with pytest.raises(DomainError):
-        lambda_bruteforce(spec, 9)
+        xi_bruteforce_sweep(spec, 9)
 
 
 def test_ex_bruteforce_examples():
@@ -171,14 +169,14 @@ def test_ex_bruteforce_examples():
 def test_ex_bruteforce_matches_formula_n4_all_subsets():
     spec = GraphSpec(4, 2)
     for m in range(1, 17):
-        assert ex_bruteforce(spec, m) == ex_enhanced(4, m)
+        assert ex_bruteforce(spec, m) == ex(spec, m)
 
 
 def test_ex_bruteforce_n5_connected():
     spec = GraphSpec(5, 2)
     for m in (1, 2, 4, 6):
-        assert ex_bruteforce(spec, m) == ex_enhanced(5, m)
-    assert ex_bruteforce(GraphSpec(5), 6) == ex_hypercube(5, 6)
+        assert ex_bruteforce(spec, m) == ex(spec, m)
+    assert ex_bruteforce(GraphSpec(5), 6) == ex(GraphSpec(5), 6)
 
 
 @pytest.mark.parametrize("k", [None, 1, 2])
