@@ -9,7 +9,6 @@ is deterministic given the flags (plus the seed, where one applies).
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -116,24 +115,23 @@ def lambda_cmd(n, family, k, h):
 
 
 def _profile_rows(profile):
-    """(h, xi_h, lambda_h) for every 1 <= h <= 2^(n-1), from the stored tuples."""
-    return zip(range(1, profile.half + 1), profile.xi_values, profile.lambda_values)
+    """(h, xi_h, lambda_h) for every 1 <= h <= 2^(n-1), as Python ints."""
+    return zip(range(1, profile.half + 1), profile.xi_values.tolist(), profile.lambda_values.tolist())
 
 
 def _profile_csv(profile) -> str:
-    lines = ["h,xi,lambda,optimal"]
-    for h, x, lam in _profile_rows(profile):
-        lines.append(f"{h},{x},{lam},{1 if x == lam else 0}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{h},{x},{lam},{1 if x == lam else 0}\n" for h, x, lam in _profile_rows(profile))
+    return "h,xi,lambda,optimal\n" + "".join(rows)
 
 
 def _profile_json(profile) -> str:
-    rows = [
-        {"h": h, "xi": x, "lambda": lam, "optimal": x == lam}
+    """What json.dumps writes for {"n", "family", "rows": [{"h", "xi", "lambda", "optimal"}]}."""
+    rows = ", ".join(
+        f'{{"h": {h}, "xi": {x}, "lambda": {lam}, "optimal": {"true" if x == lam else "false"}}}'
         for h, x, lam in _profile_rows(profile)
-    ]
+    )
     kind = "hypercube" if profile.family.k is None else "enhanced"
-    return json.dumps({"n": profile.family.n, "family": kind, "rows": rows}) + "\n"
+    return f'{{"n": {profile.family.n}, "family": "{kind}", "rows": [{rows}]}}\n'
 
 
 @main.command("profile")
@@ -192,8 +190,7 @@ def ratio_cmd(n_min, n_max, out):
 @_handle_errors
 def bitmap_cmd(n, family, k, out):
     """Adjacency matrix as a plain-text portable bitmap (P1)."""
-    spec = _graph_spec(n, family, k)
-    _write_output(out, pbm_text(adjacency_bitmap(spec)))
+    _write_output(out, pbm_text(adjacency_bitmap(_graph_spec(n, family, k))))
 
 
 @main.command("verify")
@@ -215,7 +212,7 @@ def verify_cmd(n, family, k, mode, samples, seed):
     if mode == "exact":
         half = spec.half
         results = xi_bruteforce_sweep(spec, half)
-        suffix = suffix_minima([r.xi_exact for r in results])
+        suffix = suffix_minima([r.xi_exact for r in results]).tolist()
         profile = lambda_profile(spec)
         passed = 0
         for (m, x, lam), result, lam_exact in zip(_profile_rows(profile), results, suffix):
@@ -230,10 +227,7 @@ def verify_cmd(n, family, k, mode, samples, seed):
         if passed != half:
             sys.exit(3)
     else:
-        violations = 0
-        for cut in sample_cuts(spec, samples, seed):
-            if cut.cut_size < xi(spec, cut.h):
-                violations += 1
+        violations = sum(cut.cut_size < xi(spec, cut.h) for cut in sample_cuts(spec, samples, seed))
         click.echo(f"violations: {violations}")
         if violations:
             sys.exit(3)

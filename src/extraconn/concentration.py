@@ -8,18 +8,19 @@ interval and are exactly the h values where lambda_h = xi_h. breakpoints
 answers 4 <= n <= 62, reading n <= 8 from a small table; the
 concentration report takes 9 <= n <= 62.
 
-A profile stores every xi_m and takes their suffix minima (n <= 26). A
-point query and the concentration report never touch single values of m:
-xi is a sum of weights over the set bits of m, so the minimum over an
-interval is read off O(n) aligned dyadic blocks in O(n^2) steps (n <= 62).
+A profile (n <= 26) fills every xi_m into one int64 array by dyadic block
+doublings of ex and takes lambda as its suffix minima. A point query and
+the concentration report never touch single values of m: xi is a sum of
+weights over the set bits of m, so the minimum over an interval is read
+off O(n) aligned dyadic blocks in O(n^2) steps (n <= 62).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+
+import numpy as np
 
 from .errors import (
     MAX_DIMENSION,
@@ -28,17 +29,17 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .extremal import ex, xi
+from .extremal import _ex_profile, ex, xi
 from .graphs import GraphSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XiProfile:
-    """xi and lambda for every 1 <= m <= 2^(n-1) of one family."""
+    """xi and lambda for every 1 <= m <= 2^(n-1) of one family, as read-only int64 arrays."""
 
     family: GraphSpec
-    xi_values: tuple[int, ...]
-    lambda_values: tuple[int, ...]
+    xi_values: np.ndarray
+    lambda_values: np.ndarray
 
     @property
     def half(self) -> int:
@@ -46,27 +47,30 @@ class XiProfile:
 
     def xi_at(self, m: int) -> int:
         DomainError.require(m, 1, self.half, "m")
-        return self.xi_values[m - 1]
+        return int(self.xi_values[m - 1])
 
     def lambda_at(self, h: int) -> int:
         DomainError.require(h, 1, self.half, "h")
-        return self.lambda_values[h - 1]
+        return int(self.lambda_values[h - 1])
 
 
-def suffix_minima(values: Sequence[int]) -> tuple[int, ...]:
+def suffix_minima(values) -> np.ndarray:
     """out[i] = min(values[i:]), the lambda sequence of a xi sequence."""
-    return tuple(accumulate(reversed(values), min))[::-1]
+    return np.minimum.accumulate(values[::-1])[::-1]
 
 
 def lambda_profile(family: GraphSpec) -> XiProfile:
-    """Materialize xi_1..xi_{2^(n-1)} and their suffix minima in one sweep."""
+    """Materialize xi_1..xi_{2^(n-1)} and their suffix minima as arrays."""
     if family.n > MAX_PROFILE_DIMENSION:
         raise ResourceLimitError(
             f"profiles are materialized only up to n={MAX_PROFILE_DIMENSION}; "
             f"use lambda_at for point queries"
         )
-    xs = tuple(xi(family, m) for m in range(1, family.half + 1))
-    return XiProfile(family, xs, suffix_minima(xs))
+    ex(family, 1)  # a family without a closed form is rejected here
+    xs = family.degree * np.arange(1, family.half + 1, dtype=np.int64) - _ex_profile(family)[1:]
+    lambdas = suffix_minima(xs)
+    xs.flags.writeable = lambdas.flags.writeable = False
+    return XiProfile(family, xs, lambdas)
 
 
 def _weight(a: int, t: int, c: int) -> int:
@@ -139,12 +143,10 @@ def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, 
 def lambda_at(family: GraphSpec, h: int) -> int:
     """lambda_h = min xi_m over h <= m <= 2^(n-1), in O(n^2) for any n <= 62.
 
-    For m <= 2^(n-1), xi_m sums a weight over the set bits of m: bit t below
-    c higher set bits weighs (d - t - 2c)*2^t with d the degree; on Q_{n,2}
-    above a quarter, d drops by 2 and the constant 2^(n-1) is added once.
-    The interval splits into O(n) aligned dyadic blocks; a block's minimum
-    is xi at its fixed high bits plus the least weight of its free low
-    bits, read from a table over (free bits, c).
+    Bit t of m below c higher set bits weighs (d - t - 2c)*2^t in xi_m (d
+    the degree, less 2 above a quarter on Q_{n,2}); the interval splits into
+    O(n) aligned dyadic blocks, each read off its fixed high bits plus
+    _free_minima's least weight of its free low bits.
     """
     DomainError.require(h, 1, family.half, "h")
     return _interval_min(family, h, family.half)

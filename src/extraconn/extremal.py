@@ -4,12 +4,14 @@ ex_m is twice the maximum number of edges an m-vertex induced subgraph can
 have; it is attained by the lexicographic segment {0, ..., m-1}, which makes
 the minimum boundary over size-m sets with both sides connected equal to
 degree*m - ex_m. ex and xi are the two entry points; each checks its
-arguments once and calls one unchecked body. Everything is exact integer
-arithmetic; values reach the 2^(n+6) scale, so no floating point appears
-anywhere on these paths.
+arguments once and calls one unchecked body. _ex_profile (unchecked) fills
+ex_0..ex_{2^(n-1)} into one int64 array for profiles. All arithmetic is
+exact: values reach the 2^(n+6) scale and no floating point is used.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import DomainError
 from .graphs import GraphSpec
@@ -45,6 +47,22 @@ def _ex(spec: GraphSpec, m: int) -> int:
     half = spec.half
     wraps = m >> (spec.n - 1)
     return value + wraps * half + 2 * max(m - wraps * half - (half >> 1), 0)
+
+
+def _ex_profile(spec: GraphSpec) -> np.ndarray:
+    """ex_0..ex_{2^(n-1)} as one int64 array, unchecked: ex(2^t + r) =
+    ex(r) + 2r + t*2^t for r < 2^t fills each [2^t, 2^(t+1)) from [0, 2^t).
+    Q_{n,2} adds 2*[m - 2^(n-2)]^+, which at m = 2^(n-1) is the wrap term."""
+    half = spec.half
+    twice = np.arange(0, 2 * half + 1, 2, dtype=np.int64)
+    out = np.zeros(half + 1, dtype=np.int64)
+    for t in range(spec.n):
+        size = 1 << t
+        low = min(size, half + 1 - size)
+        out[size : size + low] = out[:low] + twice[:low] + t * size
+    if spec.k is not None:
+        out[half >> 1 :] += twice[: half - (half >> 1) + 1]
+    return out
 
 
 def ex(spec: GraphSpec, m: int) -> int:

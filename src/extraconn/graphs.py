@@ -192,11 +192,12 @@ def pbm_text(bitmap: np.ndarray) -> str:
 
     Line 1 is the magic "P1", line 2 is "W H", and line y+2 holds pixel row
     y as space-separated 0/1 digits, pixel (x, y) being the adjacency of
-    vertices x and y.
+    vertices x and y. One byte buffer holds the rows: digits in the even
+    columns, spaces between, "\n" last (a zero-width row is just "\n").
     """
     width, height = bitmap.shape
-    lines = ["P1", f"{width} {height}"]
-    for y in range(height):
-        lines.append(" ".join(str(int(v)) for v in bitmap[:, y]))
-    return "\n".join(lines) + "\n"
+    buf = np.full((height, max(2 * width, 1)), ord(" "), dtype=np.uint8)
+    np.add(bitmap.T, ord("0"), out=buf[:, : 2 * width : 2], casting="unsafe")
+    buf[:, -1] = ord("\n")
+    return f"P1\n{width} {height}\n" + buf.tobytes().decode("ascii")
 

@@ -5,7 +5,8 @@ Vertex sets are frozensets and edges are spelled out from the definition
 shares code with the bit-mask implementation in extraconn.graphs or with
 the oracle. neighbors, edge_count, lexicographic_set and write_pbm build
 test inputs; induced_double_edges, boundary and connected are the
-references for the package's set functions.
+references for the package's set functions, and pbm_text_by_rows for its
+P1 encoder.
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ def write_pbm(bitmap, out) -> None:
         out.write(text)
     else:
         Path(out).write_text(text)
+
+
+def pbm_text_by_rows(bitmap) -> str:
+    """P1 text built one pixel row at a time, pixel (x, y) = bitmap[x, y]."""
+    width, height = bitmap.shape
+    lines = ["P1", f"{width} {height}"]
+    for y in range(height):
+        lines.append(" ".join(str(int(v)) for v in bitmap[:, y]))
+    return "\n".join(lines) + "\n"
 
 
 def induced_double_edges(spec, members) -> int:

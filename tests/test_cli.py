@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from extraconn.cli import main
+from extraconn import GraphSpec, lambda_profile
+from extraconn.cli import _profile_json, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -117,8 +119,6 @@ def test_profile_deterministic(runner, tmp_path):
 
 
 def test_profile_json(runner):
-    import json
-
     result = runner.invoke(main, ["profile", "--n", "4", "--format", "json"])
     payload = json.loads(result.output)
     assert payload["n"] == 4
@@ -127,6 +127,30 @@ def test_profile_json(runner):
     for family, kind in (("qn", "hypercube"), ("q2", "enhanced")):
         result = runner.invoke(main, ["profile", "--n", "4", "--family", family, "--format", "json"])
         assert f'"family": "{kind}"' in result.output
+
+
+def _profile_json_by_dumps(profile):
+    """The former JSON writer: json.dumps over one dict per row."""
+    rows = [
+        {"h": h, "xi": x, "lambda": lam, "optimal": x == lam}
+        for h, x, lam in zip(
+            range(1, profile.half + 1), profile.xi_values.tolist(), profile.lambda_values.tolist()
+        )
+    ]
+    kind = "hypercube" if profile.family.k is None else "enhanced"
+    return json.dumps({"n": profile.family.n, "family": kind, "rows": rows}) + "\n"
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 13) for k in (None, 2) if k is None or n >= 3])
+def test_profile_json_matches_json_dumps(n, k):
+    profile = lambda_profile(GraphSpec(n, k))
+    text = _profile_json(profile)
+    assert text == _profile_json_by_dumps(profile)
+    payload = json.loads(text)
+    assert [row["xi"] for row in payload["rows"]] == profile.xi_values.tolist()
+    assert [row["optimal"] for row in payload["rows"]] == (
+        profile.xi_values == profile.lambda_values
+    ).tolist()
 
 
 def test_breakpoints_command(runner):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 import extraconn.concentration
@@ -12,6 +14,7 @@ from extraconn import (
     VerificationError,
     breakpoints,
     concentration_report,
+    ex,
     h_min,
     lambda_at,
     lambda_profile,
@@ -22,9 +25,9 @@ from extraconn import (
 
 def test_profile_small_values():
     profile = lambda_profile(GraphSpec(4, 2))
-    assert profile.lambda_values == (5, 8, 8, 8, 8, 8, 8, 8)
+    assert profile.lambda_values.tolist() == [5, 8, 8, 8, 8, 8, 8, 8]
     profile5 = lambda_profile(GraphSpec(5, 2))
-    assert profile5.xi_values[:4] == (6, 10, 14, 16)
+    assert profile5.xi_values[:4].tolist() == [6, 10, 14, 16]
     profile9 = lambda_profile(GraphSpec(9, 2))
     assert profile9.lambda_at(58) == 254
 
@@ -37,6 +40,50 @@ def test_suffix_minimum_recurrence(n):
     for h in range(1, half):
         assert profile.lambda_at(h) == min(profile.xi_at(h), profile.lambda_at(h + 1))
         assert profile.lambda_at(h) <= profile.xi_at(h)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_profile_fields_are_read_only_int64_arrays(k):
+    profile = lambda_profile(GraphSpec(6, k))
+    for values in (profile.xi_values, profile.lambda_values):
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.int64
+        assert values.shape == (32,)
+        with pytest.raises(ValueError):
+            values[0] = 1
+    assert profile.xi_values[0] == 6 + (k is not None)
+    assert type(profile.xi_at(3)) is int
+    assert type(profile.lambda_at(3)) is int
+
+
+def _lambda_loop(values):
+    """The former suffix_minima: accumulate min over the reversed values."""
+    return list(accumulate(reversed(values), min))[::-1]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 17) for k in (None, 2) if k is None or n >= 3])
+def test_profile_matches_scalar_closed_form(n, k):
+    family = GraphSpec(n, k)
+    profile = lambda_profile(family)
+    values = [xi(family, m) for m in range(1, family.half + 1)]
+    assert profile.xi_values.tolist() == values
+    assert profile.lambda_values.tolist() == _lambda_loop(values)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+@pytest.mark.parametrize("n", [20, 22])
+def test_profile_matches_scalar_closed_form_sampled(n, k):
+    family = GraphSpec(n, k)
+    half = family.half
+    profile = lambda_profile(family)
+    table = extraconn.extremal._ex_profile(family)
+    edges = [1, half >> 1, (half >> 1) + 1, half - 1, half]
+    rng = random.Random(n * 5 + (k or 0))
+    for m in edges + [rng.randint(1, half) for _ in range(1000)]:
+        assert profile.xi_at(m) == xi(family, m), m
+        assert int(table[m]) == ex(family, m), m
+    for h in edges:
+        assert profile.lambda_at(h) == lambda_at(family, h), h
 
 
 def test_profile_index_bounds():
@@ -111,7 +158,7 @@ def test_suffix_minima_matches_loop():
         for i in range(len(expected) - 2, -1, -1):
             if expected[i + 1] < expected[i]:
                 expected[i] = expected[i + 1]
-        assert extraconn.concentration.suffix_minima(values) == tuple(expected)
+        assert extraconn.concentration.suffix_minima(values).tolist() == expected
 
 
 @pytest.mark.parametrize("n", range(3, 15))

@@ -3,7 +3,13 @@ import random
 import graph_reference as ref
 import numpy as np
 import pytest
-from graph_reference import edge_count, lexicographic_set, neighbors, write_pbm
+from graph_reference import (
+    edge_count,
+    lexicographic_set,
+    neighbors,
+    pbm_text_by_rows,
+    write_pbm,
+)
 
 from extraconn import (
     DomainError,
@@ -227,6 +233,27 @@ def test_pbm_non_square():
     bitmap = np.array([[0, 1, 1], [0, 0, 1]])
     assert pbm_text(bitmap) == "P1\n2 3\n0 0\n1 0\n1 1\n"
     assert pbm_text(bitmap.T) == "P1\n3 2\n0 1 1\n0 0 1\n"
+
+
+def test_pbm_empty_axes():
+    assert pbm_text(np.zeros((0, 0), dtype=np.uint8)) == "P1\n0 0\n"
+    assert pbm_text(np.zeros((0, 3), dtype=np.uint8)) == "P1\n0 3\n\n\n\n"
+    assert pbm_text(np.zeros((3, 0), dtype=np.uint8)) == "P1\n3 0\n"
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2)])
+def test_pbm_matches_row_reference(shape, dtype):
+    bitmap = (np.arange(shape[0] * shape[1]).reshape(shape) % 3 != 1).astype(dtype)
+    for view in (bitmap, bitmap.T, bitmap[::-1]):
+        assert pbm_text(view) == pbm_text_by_rows(view)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in (None, 1, 2) if k is None or k < n])
+def test_pbm_matches_row_reference_on_adjacency(n, k):
+    bitmap = adjacency_bitmap(GraphSpec(n, k))
+    assert pbm_text(bitmap) == pbm_text_by_rows(bitmap)
+    assert pbm_text(bitmap.T) == pbm_text_by_rows(bitmap.T)
 
 
 def _reference_cases(n, rng):
