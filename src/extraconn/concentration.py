@@ -67,7 +67,9 @@ def lambda_profile(family: GraphSpec) -> XiProfile:
             f"use lambda_at for point queries"
         )
     ex(family, 1)  # a family without a closed form is rejected here
-    xs = family.degree * np.arange(1, family.half + 1, dtype=np.int64) - _ex_profile(family)[1:]
+    degree = family.degree
+    xs = _ex_profile(family)[1:]  # xi = degree*m - ex, built in the ex buffer
+    np.subtract(np.arange(degree, degree * family.half + 1, degree, dtype=np.int64), xs, out=xs)
     lambdas = suffix_minima(xs)
     xs.flags.writeable = lambdas.flags.writeable = False
     return XiProfile(family, xs, lambdas)

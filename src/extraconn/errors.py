@@ -10,7 +10,7 @@ here too, so what the package accepts is decided in this one module.
 MAX_DIMENSION = 62  # any graph or closed form
 MAX_BITMAP_DIMENSION = 13  # dense 2^n x 2^n adjacency bitmap
 MAX_PROFILE_DIMENSION = 26  # profile of all 2^(n-1) xi values
-MAX_EXHAUSTIVE_DIMENSION = 5  # the oracle's exhaustive searches
+MAX_EXHAUSTIVE_DIMENSION = 5  # the oracle's exhaustive searches (3-bit neighbour counts: n <= 6)
 MAX_SAMPLING_DIMENSION = 12  # the cut sampler
 MAX_SET_DIMENSION = 20  # vertex sets as 2^n-bit masks (128 KiB each at n = 20)
 

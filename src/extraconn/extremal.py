@@ -52,16 +52,19 @@ def _ex(spec: GraphSpec, m: int) -> int:
 def _ex_profile(spec: GraphSpec) -> np.ndarray:
     """ex_0..ex_{2^(n-1)} as one int64 array, unchecked: ex(2^t + r) =
     ex(r) + 2r + t*2^t for r < 2^t fills each [2^t, 2^(t+1)) from [0, 2^t).
-    Q_{n,2} adds 2*[m - 2^(n-2)]^+, which at m = 2^(n-1) is the wrap term."""
+    Q_{n,2} adds 2*[m - 2^(n-2)]^+, which at m = 2^(n-1) is the wrap term.
+    Each block is written in place from one ramp 2r, r <= 2^(n-2)."""
     half = spec.half
-    twice = np.arange(0, 2 * half + 1, 2, dtype=np.int64)
+    ramp = np.arange(0, half + 1, 2, dtype=np.int64)
     out = np.zeros(half + 1, dtype=np.int64)
     for t in range(spec.n):
         size = 1 << t
         low = min(size, half + 1 - size)
-        out[size : size + low] = out[:low] + twice[:low] + t * size
+        block = out[size : size + low]
+        np.add(out[:low], ramp[:low], out=block)
+        block += t * size
     if spec.k is not None:
-        out[half >> 1 :] += twice[: half - (half >> 1) + 1]
+        out[half >> 1 :] += ramp
     return out
 
 

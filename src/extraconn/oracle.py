@@ -25,9 +25,32 @@ S the set S ^ a contains 0 and has the same size, boundary, induced edges
 and connectivity on both sides, so every extremum is attained by a set
 containing vertex 0.
 
+They also expand only one neighbour of 0 per root orbit. With p = n-k+1
+and c = 2^p - 1 the complement mask, e_1 + ... + e_p + c = 0, so any
+permutation of {e_1, ..., e_p, c} extends to a GF(2)-linear map; so does
+any permutation of {e_(p+1), ..., e_n}. Such a map fixes 0 and permutes
+the generators, so it is an automorphism. A connected set containing 0
+and a first-orbit neighbour maps onto one containing 0 and vertex 1; a
+set whose neighbours of 0 all lie in the second orbit maps onto one
+containing 2^p and still no first-orbit vertex, which is the branch of
+2^p, since canonical extension excludes the neighbours of 0 below it and
+those are the first orbit (c < 2^p). Q_n (any permutation of e_1, ...,
+e_n) and Q_{n,1} (p = n) have one orbit.
+
+Each node of these searches carries three bit planes holding, for every
+vertex, its number of neighbours in the set (degree <= 6 fits in three
+bits); adding a vertex w updates them by a ripple carry on its neighbour
+mask. A child's boundary or edge count depends only on that number, so a
+node computes the least count a child needs to beat the current
+incumbents and examines only the candidates that have it. Incumbents
+only improve while a node is processed, so a skipped candidate would have
+failed its test anyway, and every survivor is still tested exactly.
+
 Every search takes an extension-step budget (default 10^9, any int >= 0)
 and raises ResourceLimitError once it is spent, so no call runs without
-bound. The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
+bound. The rooted searches count every candidate of a node, skipped or
+not, and their error states the steps taken and the largest set grown.
+The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
 sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 enumerate_connected_subsets and sample_cuts check their arguments at the
 call and then return a generator.
@@ -74,8 +97,13 @@ class OracleResult:
     witness: frozenset[int]
 
 
-def _over_budget(limit: int) -> ResourceLimitError:
-    return ResourceLimitError(f"search exceeded the {limit} extension-step budget")
+def _over_budget(
+    limit: int, steps: int | None = None, deepest: int | None = None
+) -> ResourceLimitError:
+    message = f"search exceeded the {limit} extension-step budget"
+    if steps is not None:
+        message += f" after {steps} steps, with sets of up to {deepest} vertices grown"
+    return ResourceLimitError(message)
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +160,35 @@ def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozens
                     stack.append((grown, ext | (wnbr & ~seen & above), seen | wnbr, size + 1))
 
 
+def _root_candidates(spec: GraphSpec) -> int:
+    """Mask of the neighbours of 0 the rooted searches expand, one per orbit:
+    vertex 1, and vertex 2^(n-k+1) when k >= 2 (see the module docstring)."""
+    if spec.k is None or spec.k == 1:
+        return 0b10
+    return 0b10 | 1 << (1 << (spec.n - spec.k + 1))
+
+
+def _at_least(c0: int, c1: int, c2: int, need: int) -> int:
+    """Mask of the vertices with at least `need` neighbours in the set, read
+    from its count planes; -1 is every vertex. A candidate always has one
+    neighbour in the set, so need <= 1 keeps all."""
+    if need <= 1:
+        return -1
+    if need == 2:
+        return c1 | c2
+    if need == 3:
+        return c2 | (c1 & c0)
+    if need == 4:
+        return c2
+    if need == 5:
+        return c2 & (c1 | c0)
+    if need == 6:
+        return c2 & c1
+    if need == 7:
+        return c2 & c1 & c0
+    return 0
+
+
 def xi_bruteforce_sweep(
     spec: GraphSpec, m_max: int, budget: int = DEFAULT_EXTENSION_BUDGET
 ) -> list[OracleResult]:
@@ -160,36 +217,47 @@ def xi_bruteforce_sweep(
             best[m] = mask_boundary(spec, segment)
             witness[m] = segment
 
-    def thresholds() -> list[int]:
-        # thr[j]: a size-j set with boundary >= thr[j] cannot improve any best[m'], m' > j
+    def thresholds() -> tuple[list[int], list[int]]:
+        # thr[j]: a size-j set with boundary >= thr[j] cannot improve any best[m'], m' > j;
+        # limit[j]: nor best[j] itself
         thr = [0] * (m_max + 1)
         running = -infinity
         for j in range(m_max - 1, -1, -1):
             running = max(best[j + 1], running) + degree
             thr[j] = running
-        return thr
+        return thr, [max(pair) for pair in zip(best, thr)]
 
-    thr = thresholds()
-    steps = 0
-    stack = [(1, nbr[0], nbr[0] | 1, 1, degree)] if m_max > 1 else []
+    thr, limit = thresholds()
+    roots = _root_candidates(spec)
+    steps = deepest = 0
+    stack = [(1, nbr[0], nbr[0] | 1, 1, degree, nbr[0], 0, 0)] if m_max > 1 else []
     while stack:
-        sub, ext, seen, size, bound = stack.pop()
+        sub, ext, seen, size, bound, c0, c1, c2 = stack.pop()
+        candidates = ext & roots if size == 1 else ext
+        if size > deepest:
+            deepest = size
+        steps += candidates.bit_count()
+        if steps > budget:
+            raise _over_budget(budget, steps - candidates.bit_count(), deepest)
         grown_size = size + 1
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            steps += 1
-            if steps > budget:
-                raise _over_budget(budget)
+        # a child's boundary is bound + degree - 2*(its neighbours in sub)
+        todo = candidates & _at_least(c0, c1, c2, (bound + degree - limit[grown_size]) // 2 + 1)
+        while todo:
+            wbit = todo & -todo
+            todo ^= wbit
             wnbr = nbr[wbit.bit_length() - 1]
             grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
             grown = sub | wbit
             if grown_bound < best[grown_size] and mask_connected(spec, full ^ grown):
                 best[grown_size] = grown_bound
                 witness[grown_size] = grown
-                thr = thresholds()
+                thr, limit = thresholds()
             if grown_size < m_max and grown_bound < thr[grown_size]:
-                stack.append((grown, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_bound))
+                carry = c0 & wnbr
+                stack.append((
+                    grown, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, grown_size,
+                    grown_bound, c0 ^ wnbr, c1 ^ carry, c2 ^ (c1 & carry),
+                ))
     results = []
     for m in range(1, m_max + 1):
         if witness[m] is None:
@@ -215,9 +283,9 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGE
         top = 0
         others = [1 << v for v in range(1, spec.num_vertices)]
         for combo in combinations(others, m - 1):
+            if steps == budget:
+                raise _over_budget(budget, steps, m if steps else 1)
             steps += 1
-            if steps > budget:
-                raise _over_budget(budget)
             doubled = degree * m - mask_boundary(spec, 1 + sum(combo))
             if doubled > top:
                 top = doubled
@@ -231,25 +299,36 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGE
     allowance = [0] * (m + 1)
     for j in range(m - 1, 0, -1):
         allowance[j] = allowance[j + 1] + 2 * min(j, degree)
-    stack = [(1, nbr[0], nbr[0] | 1, 1, 0)] if m > 1 else []
+    roots = _root_candidates(spec)
+    deepest = 0
+    stack = [(1, nbr[0], nbr[0] | 1, 1, 0, nbr[0], 0, 0)] if m > 1 else []
     while stack:
-        sub, ext, seen, size, doubled = stack.pop()
+        sub, ext, seen, size, doubled, c0, c1, c2 = stack.pop()
+        candidates = ext & roots if size == 1 else ext
+        if size > deepest:
+            deepest = size
+        steps += candidates.bit_count()
+        if steps > budget:
+            raise _over_budget(budget, steps - candidates.bit_count(), deepest)
         grown_size = size + 1
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            steps += 1
-            if steps > budget:
-                raise _over_budget(budget)
+        # a child adds 2*(its neighbours in sub) and must beat top with its allowance
+        todo = candidates & _at_least(
+            c0, c1, c2, (top - doubled - allowance[grown_size]) // 2 + 1
+        )
+        while todo:
+            wbit = todo & -todo
+            todo ^= wbit
             wnbr = nbr[wbit.bit_length() - 1]
             grown_doubled = doubled + 2 * (wnbr & sub).bit_count()
             if grown_size == m:
                 if grown_doubled > top:
                     top = grown_doubled
             elif grown_doubled + allowance[grown_size] > top:
-                stack.append(
-                    (sub | wbit, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_doubled)
-                )
+                carry = c0 & wnbr
+                stack.append((
+                    sub | wbit, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, grown_size,
+                    grown_doubled, c0 ^ wnbr, c1 ^ carry, c2 ^ (c1 & carry),
+                ))
     return top
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
@@ -84,6 +85,21 @@ def test_profile_matches_scalar_closed_form_sampled(n, k):
         assert int(table[m]) == ex(family, m), m
     for h in edges:
         assert profile.lambda_at(h) == lambda_at(family, h), h
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_profile_peak_memory(k):
+    # the two result arrays plus at most 0.6 of one more for temporaries
+    family = GraphSpec(22, k)
+    lambda_profile(GraphSpec(4, k))  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        profile = lambda_profile(family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.xi_at(family.half) == family.half
+    assert peak <= 2.6 * 8 * (family.half + 1)
 
 
 def test_profile_index_bounds():

@@ -1,7 +1,10 @@
 import inspect
+import random
+import re
 from itertools import combinations
 
 import graph_reference as ref
+import oracle_reference
 import pytest
 
 import extraconn
@@ -18,7 +21,14 @@ from extraconn import (
     xi,
     xi_bruteforce_sweep,
 )
-from extraconn.oracle import DEFAULT_EXTENSION_BUDGET
+from extraconn.oracle import DEFAULT_EXTENSION_BUDGET, _at_least, _root_candidates
+
+ALL_SPECS_UP_TO_4 = [GraphSpec(n, k) for n in range(2, 5) for k in (None, *range(1, n))]
+N5_SPECS = [GraphSpec(5, k) for k in (None, 1, 2, 3, 4)]
+
+
+def _spec_id(spec):
+    return f"n{spec.n}-k{spec.k}"
 
 
 def test_enumerate_counts():
@@ -88,6 +98,169 @@ def test_budget_default_and_domain():
         for budget in ("x", -1):
             with pytest.raises(DomainError):
                 call(spec, budget)
+
+
+def _over_budget_report(excinfo) -> tuple[int, int]:
+    found = re.search(r"after (\d+) steps, with sets of up to (\d+) vertices", str(excinfo.value))
+    assert found, str(excinfo.value)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 8])
+def test_sweep_zero_budget_reports_progress(m_max):
+    with pytest.raises(ResourceLimitError) as excinfo:
+        xi_bruteforce_sweep(GraphSpec(5, 2), m_max, budget=0)
+    assert _over_budget_report(excinfo) == (0, 1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_ex_bruteforce_zero_budget_reports_progress(m):
+    with pytest.raises(ResourceLimitError) as excinfo:
+        ex_bruteforce(GraphSpec(5, 2), m, budget=0)
+    assert _over_budget_report(excinfo) == (0, 1)
+
+
+def test_budget_overrun_reports_how_far_the_search_got():
+    with pytest.raises(ResourceLimitError) as excinfo:
+        xi_bruteforce_sweep(GraphSpec(5, 1), 9, budget=2000)
+    steps, deepest = _over_budget_report(excinfo)
+    assert 0 < steps <= 2000
+    assert 2 < deepest < 9
+    with pytest.raises(ResourceLimitError) as excinfo:
+        ex_bruteforce(GraphSpec(5, 2), 8, budget=500)
+    steps, deepest = _over_budget_report(excinfo)
+    assert 0 < steps <= 500
+    assert 2 < deepest < 8
+    with pytest.raises(ResourceLimitError) as excinfo:
+        ex_bruteforce(GraphSpec(4, 2), 3, budget=7)
+    assert _over_budget_report(excinfo) == (7, 3)
+
+
+def test_default_budget_answers():
+    spec = GraphSpec(5, 2)
+    assert [r.xi_exact for r in xi_bruteforce_sweep(spec, 6)] == [xi(spec, m) for m in range(1, 7)]
+    assert ex_bruteforce(spec, 7) == ex(spec, 7)
+
+
+def _check_against_reference(spec, m_max):
+    everything = frozenset(range(spec.num_vertices))
+    results = xi_bruteforce_sweep(spec, m_max)
+    want, _ = oracle_reference.xi_sweep(spec, m_max)
+    assert [r.xi_exact for r in results] == [value for value, _ in want]
+    for result in results:
+        assert len(result.witness) == result.m
+        assert ref.connected(spec, result.witness)
+        assert ref.connected(spec, everything - result.witness)
+        assert ref.boundary(spec, result.witness) == result.xi_exact
+    # the count filter skips only candidates that would fail: same witnesses
+    # and exactly the same step count as the per-candidate loop with the same roots
+    rooted, steps = oracle_reference.xi_sweep(spec, m_max, _root_candidates(spec))
+    assert [(r.xi_exact, r.witness) for r in results] == rooted
+    assert xi_bruteforce_sweep(spec, m_max, budget=steps) == results
+    if steps:
+        with pytest.raises(ResourceLimitError):
+            xi_bruteforce_sweep(spec, m_max, budget=steps - 1)
+
+
+def _check_ex_against_reference(spec, m):
+    top = ex_bruteforce(spec, m)
+    assert top == oracle_reference.ex_connected(spec, m)[0]
+    if spec.n == 5:
+        rooted, steps = oracle_reference.ex_connected(spec, m, _root_candidates(spec))
+        assert rooted == top
+        assert ex_bruteforce(spec, m, budget=steps) == top
+        if steps:
+            with pytest.raises(ResourceLimitError):
+                ex_bruteforce(spec, m, budget=steps - 1)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4, ids=_spec_id)
+def test_sweep_matches_reference_small(spec):
+    _check_against_reference(spec, spec.half)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4, ids=_spec_id)
+def test_ex_bruteforce_matches_reference_small(spec):
+    for m in range(1, spec.num_vertices + 1):
+        _check_ex_against_reference(spec, m)
+
+
+@pytest.mark.parametrize("spec", N5_SPECS, ids=_spec_id)
+def test_sweep_matches_reference_n5(spec):
+    _check_against_reference(spec, 8)
+
+
+@pytest.mark.parametrize("spec", N5_SPECS, ids=_spec_id)
+def test_ex_bruteforce_matches_reference_n5(spec):
+    for m in range(1, 8):
+        _check_ex_against_reference(spec, m)
+
+
+@pytest.mark.parametrize("spec", N5_SPECS, ids=_spec_id)
+def test_at_least_reads_count_planes(spec):
+    rng = random.Random(spec.degree * 10 + (spec.k or 0))
+    for _ in range(50):
+        members = frozenset(rng.sample(range(spec.num_vertices), rng.randint(1, 20)))
+        counts = [len(ref.neighbors(spec, v) & members) for v in range(spec.num_vertices)]
+        c0, c1, c2 = (
+            sum(1 << v for v, count in enumerate(counts) if count >> bit & 1) for bit in range(3)
+        )
+        for need in range(2, 10):
+            want = sum(1 << v for v, count in enumerate(counts) if count >= need)
+            assert _at_least(c0, c1, c2, need) == want
+        # a candidate always has a neighbour in the set: need <= 1 keeps every vertex
+        for need in (-1, 0, 1):
+            assert _at_least(c0, c1, c2, need) == -1
+
+
+def _orbit_swap(spec, u):
+    """(map, representative): the GF(2)-linear map swapping the neighbour u of
+    vertex 0 with its orbit's representative, and that representative."""
+    p = spec.n if spec.k is None else spec.n - spec.k + 1
+    images = [1 << j for j in range(spec.n)]  # image of each unit vector e_(j+1)
+    if u == spec.complement_mask:
+        representative = 1
+        images[0] = u  # e_1 -> c, so c = e_1 + ... + e_p -> e_1
+    else:
+        j = u.bit_length() - 1
+        representative = 1 if j < p else 1 << p
+        first = representative.bit_length() - 1
+        images[first], images[j] = images[j], images[first]
+
+    def apply(v):
+        out = 0
+        for j, image in enumerate(images):
+            if v >> j & 1:
+                out ^= image
+        return out
+
+    return apply, representative
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4 + N5_SPECS, ids=_spec_id)
+def test_root_orbit_symmetry(spec):
+    # every neighbour of 0 is mapped onto a root the searches expand by a linear
+    # automorphism that fixes 0 and keeps the first orbit, {e_1..e_p, c}, setwise
+    p = spec.n if spec.k is None else spec.n - spec.k + 1
+    generators = set(spec.generators)
+    first_orbit = {1 << j for j in range(p)} | ({spec.complement_mask} if spec.k else set())
+    representatives = set()
+    for u in ref.neighbors(spec, 0):
+        apply, representative = _orbit_swap(spec, u)
+        assert apply(u) == representative and apply(representative) == u
+        assert {apply(g) for g in generators} == generators
+        assert apply(0) == 0
+        assert {apply(g) for g in first_orbit} == first_orbit
+        for v in range(spec.num_vertices):
+            assert {apply(w) for w in ref.neighbors(spec, v)} == ref.neighbors(spec, apply(v))
+        representatives.add(representative)
+    roots = _root_candidates(spec)
+    assert representatives == {v for v in range(spec.num_vertices) if roots >> v & 1}
+    # a root's branch excludes the neighbours of 0 below it: nothing for
+    # vertex 1, exactly the first orbit for vertex 2^p
+    for representative in representatives:
+        before = {g for g in generators if g < representative}
+        assert before == (set() if representative == 1 else first_orbit)
 
 
 def test_xi_bruteforce_examples():
