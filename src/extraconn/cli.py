@@ -1,18 +1,21 @@
 """Command-line front end.
 
 Subcommands expose every computation and emit the value tables, profile
-CSVs, ratio CSVs and adjacency bitmaps as files. Exit codes: 0 success,
+CSVs, ratio CSVs and adjacency bitmaps as files. A profile is streamed in
+blocks of BLOCK_ROWS rows, each formatted from the value arrays as one
+byte matrix, so its text is never held whole. Exit codes: 0 success,
 1 domain or I/O error, 2 usage error, 3 verification failure. All output
-is deterministic given the flags (plus the seed, where one applies).
+is deterministic given the flags (plus the seed, where one applies), and
+stdout and --out get the same bytes.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from pathlib import Path
 
 import click
+import numpy as np
 
 from .concentration import (
     breakpoints,
@@ -58,11 +61,17 @@ def _graph_spec(n: int, family: str | None, k: int | None) -> GraphSpec:
     return GraphSpec(n, _resolve_k(family, k))
 
 
-def _write_output(out: str, text: str) -> None:
+def _write_output(out: str, chunks) -> None:
+    """Write the text chunks in order to stdout ('-') or to the file `out`.
+
+    A file gets the ASCII bytes exactly as stdout does: no newline translation.
+    """
     if out == "-":
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
     else:
-        Path(out).write_text(text)
+        with open(out, "w", encoding="ascii", newline="") as fh:
+            fh.writelines(chunks)
 
 
 _n_option = click.option("--n", "n", type=int, required=True, help="Dimension.")
@@ -119,19 +128,79 @@ def _profile_rows(profile):
     return zip(range(1, profile.half + 1), profile.xi_values.tolist(), profile.lambda_values.tolist())
 
 
-def _profile_csv(profile) -> str:
-    rows = (f"{h},{x},{lam},{1 if x == lam else 0}\n" for h, x, lam in _profile_rows(profile))
-    return "h,xi,lambda,optimal\n" + "".join(rows)
+# Rows per text block: a block's matrix is a few MiB whatever the profile size.
+BLOCK_ROWS = 1 << 15
+
+# "optimal" in JSON, by row index: 0 -> false, 1 -> true (0-padded).
+_JSON_FLAGS = np.frombuffer(b"false" b"true\0", dtype=np.uint8).reshape(2, 5)
 
 
-def _profile_json(profile) -> str:
-    """What json.dumps writes for {"n", "family", "rows": [{"h", "xi", "lambda", "optimal"}]}."""
-    rows = ", ".join(
-        f'{{"h": {h}, "xi": {x}, "lambda": {lam}, "optimal": {"true" if x == lam else "false"}}}'
-        for h, x, lam in _profile_rows(profile)
-    )
-    kind = "hypercube" if profile.family.k is None else "enhanced"
-    return f'{{"n": {profile.family.n}, "family": "{kind}", "rows": [{rows}]}}\n'
+def _rows_text(rows: int, parts) -> str:
+    """`rows` rows of ASCII text, each spelled left to right by `parts`.
+
+    A part is literal bytes, a non-negative int array written in decimal,
+    or a pair (table, index) that writes row index[i] of a uint8 byte table.
+    Every row fills one line of a (rows, width) uint8 matrix: literals in
+    fixed columns, numbers right-aligned behind 0 bytes. Dropping the 0
+    bytes leaves the text.
+    """
+    widths = []
+    for part in parts:
+        if isinstance(part, bytes):
+            widths.append(len(part))
+        elif isinstance(part, tuple):
+            widths.append(part[0].shape[1])
+        else:
+            widths.append(len(str(int(part.max()))))
+    matrix = np.zeros((rows, sum(widths)), dtype=np.uint8)
+    col = 0
+    for part, width in zip(parts, widths):
+        if isinstance(part, bytes):
+            matrix[:, col:col + width] = np.frombuffer(part, dtype=np.uint8)
+        elif isinstance(part, tuple):
+            table, index = part
+            matrix[:, col:col + width] = table[index]
+        else:
+            # q // 10 and a subtraction, not np.divmod: divmod has no fast
+            # path for a scalar divisor and takes several times as long
+            q = part
+            for pos in range(col + width - 1, col - 1, -1):
+                next_q = q // 10
+                digits = q - 10 * next_q + 48
+                if pos < col + width - 1:
+                    digits[q == 0] = 0
+                matrix[:, pos] = digits
+                q = next_q
+        col += width
+    flat = matrix.ravel()
+    return str(memoryview(flat[flat != 0]), "ascii")
+
+
+def _profile_chunks(profile, fmt: str):
+    """The profile as CSV or JSON text, one chunk per BLOCK_ROWS rows.
+
+    The JSON is what json.dumps writes for
+    {"n", "family", "rows": [{"h", "xi", "lambda", "optimal"}]}.
+    """
+    half = profile.half
+    if fmt == "csv":
+        yield "h,xi,lambda,optimal\n"
+    else:
+        kind = "hypercube" if profile.family.k is None else "enhanced"
+        yield f'{{"n": {profile.family.n}, "family": "{kind}", "rows": ['
+    for start in range(0, half, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, half)
+        h = np.arange(start + 1, stop + 1, dtype=np.int64)
+        x = profile.xi_values[start:stop]
+        lam = profile.lambda_values[start:stop]
+        optimal = (x == lam).view(np.uint8)
+        if fmt == "csv":
+            yield _rows_text(stop - start, [h, b",", x, b",", lam, b",", optimal, b"\n"])
+        else:
+            parts = [b'{"h": ', h, b', "xi": ', x, b', "lambda": ', lam,
+                     b', "optimal": ', (_JSON_FLAGS, optimal), b"}, "]
+            text = _rows_text(stop - start, parts)
+            yield text if stop < half else text[:-2] + "]}\n"
 
 
 @main.command("profile")
@@ -144,8 +213,7 @@ def _profile_json(profile) -> str:
 def profile_cmd(n, family, k, out, fmt):
     """Full xi/lambda profile for 1 <= h <= 2^(n-1)."""
     profile = lambda_profile(_graph_spec(n, family, k))
-    text = _profile_csv(profile) if fmt == "csv" else _profile_json(profile)
-    _write_output(out, text)
+    _write_output(out, _profile_chunks(profile, fmt))
 
 
 @main.command("breakpoints")
@@ -179,7 +247,7 @@ def ratio_cmd(n_min, n_max, out):
     """CSV of g(n) and the truncated percentage g(n)/2^(n-1)."""
     rows = ratio_table(n_min, n_max)
     text = "n,g,R_percent\n" + "".join(f"{r.n},{r.g},{r.display}\n" for r in rows)
-    _write_output(out, text)
+    _write_output(out, [text])
 
 
 @main.command("bitmap")
@@ -190,7 +258,7 @@ def ratio_cmd(n_min, n_max, out):
 @_handle_errors
 def bitmap_cmd(n, family, k, out):
     """Adjacency matrix as a plain-text portable bitmap (P1)."""
-    _write_output(out, pbm_text(adjacency_bitmap(_graph_spec(n, family, k))))
+    _write_output(out, [pbm_text(adjacency_bitmap(_graph_spec(n, family, k)))])
 
 
 @main.command("verify")

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import cli_reference as ref
 import pytest
 from click.testing import CliRunner
 
 from extraconn import GraphSpec, lambda_profile
-from extraconn.cli import _profile_json, main
+from extraconn import cli
+from extraconn.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -141,16 +144,86 @@ def _profile_json_by_dumps(profile):
     return json.dumps({"n": profile.family.n, "family": kind, "rows": rows}) + "\n"
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 13) for k in (None, 2) if k is None or n >= 3])
+def _profile_text(profile, fmt):
+    return "".join(cli._profile_chunks(profile, fmt))
+
+
+# 2^15-row blocks: n = 17 is the first profile that spans two blocks
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 18) for k in (None, 2) if k is None or n >= 3])
 def test_profile_json_matches_json_dumps(n, k):
     profile = lambda_profile(GraphSpec(n, k))
-    text = _profile_json(profile)
+    text = _profile_text(profile, "json")
     assert text == _profile_json_by_dumps(profile)
     payload = json.loads(text)
     assert [row["xi"] for row in payload["rows"]] == profile.xi_values.tolist()
     assert [row["optimal"] for row in payload["rows"]] == (
         profile.xi_values == profile.lambda_values
     ).tolist()
+
+
+_FAMILIES = [(n, family) for n in range(2, 19) for family in ("qn", "q2") if family == "qn" or n >= 3]
+
+
+@pytest.mark.parametrize("n,family", _FAMILIES)
+def test_profile_matches_row_writers(runner, n, family):
+    assert GraphSpec(18).half > 2 * cli.BLOCK_ROWS  # n = 17, 18 span several blocks
+    profile = lambda_profile(GraphSpec(n, cli._FAMILY_KINDS[family]))
+    for fmt, reference in (("csv", ref.profile_csv), ("json", ref.profile_json)):
+        result = runner.invoke(main, ["profile", "--n", str(n), "--family", family, "--format", fmt])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == reference(profile).encode("ascii"), (n, family, fmt)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7, 100])
+def test_profile_blocks_of_any_size(monkeypatch, block_rows):
+    # short and partial last blocks, and digit widths that change between blocks
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    for n, k in ((2, None), (3, 2), (8, 2), (9, None), (10, 2)):
+        profile = lambda_profile(GraphSpec(n, k))
+        assert _profile_text(profile, "csv") == ref.profile_csv(profile)
+        assert _profile_text(profile, "json") == ref.profile_json(profile)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_to_file_memory(tmp_path, fmt):
+    # the profile arrays plus a few blocks of text, never the whole text
+    # (at n = 22 the CSV is 51 MiB and the JSON 134 MiB)
+    family = GraphSpec(22, 2)
+    args = ["profile", "--n", "22", "--format", fmt, "--out", str(tmp_path / "p")]
+    main.main(args=["profile", "--n", "4", "--format", fmt, "--out", str(tmp_path / "p")],
+              standalone_mode=False)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        main.main(args=args, standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = 2 * 8 * family.half
+    block = cli.BLOCK_ROWS * 128  # a JSON row is under 128 bytes
+    assert peak <= arrays + 4 * block
+    last = {"csv": "\n{0},{0},{0},1\n", "json": '{{"h": {0}, "xi": {0}, "lambda": {0}, "optimal": true}}]}}\n'}
+    with open(tmp_path / "p", "rb") as fh:
+        fh.seek(-100, os.SEEK_END)
+        assert fh.read().endswith(last[fmt].format(family.half).encode())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["profile", "--n", "9"],
+        ["profile", "--n", "9", "--family", "qn", "--format", "json"],
+        ["ratio", "--n-min", "4", "--n-max", "31"],
+        ["bitmap", "--n", "4", "--k", "2"],
+    ],
+)
+def test_out_file_bytes_equal_stdout(runner, tmp_path, args):
+    out = tmp_path / "out"
+    to_stdout = runner.invoke(main, args)
+    to_file = runner.invoke(main, [*args, "--out", str(out)])
+    assert to_stdout.exit_code == to_file.exit_code == 0
+    assert to_file.stdout_bytes == b""
+    assert out.read_bytes() == to_stdout.stdout_bytes
+    assert b"\r" not in to_stdout.stdout_bytes
 
 
 def test_breakpoints_command(runner):
