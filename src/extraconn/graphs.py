@@ -194,7 +194,19 @@ def pbm_text(bitmap: np.ndarray) -> str:
     y as space-separated 0/1 digits, pixel (x, y) being the adjacency of
     vertices x and y. One byte buffer holds the rows: digits in the even
     columns, spaces between, "\n" last (a zero-width row is just "\n").
+    Anything but a 2-D bool or integer array of 0s and 1s raises
+    DomainError; the cells are checked by min and max, with no copy.
     """
+    bitmap = np.asarray(bitmap)
+    if (
+        bitmap.ndim != 2
+        or bitmap.dtype.kind not in "biu"
+        or (bitmap.size and (bitmap.min() < 0 or bitmap.max() > 1))
+    ):
+        raise DomainError(
+            f"pbm_text needs a 2-D bool or integer array of 0s and 1s,"
+            f" got shape {bitmap.shape} and dtype {bitmap.dtype}"
+        )
     width, height = bitmap.shape
     buf = np.full((height, max(2 * width, 1)), ord(" "), dtype=np.uint8)
     np.add(bitmap.T, ord("0"), out=buf[:, : 2 * width : 2], casting="unsafe")

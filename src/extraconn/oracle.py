@@ -2,10 +2,17 @@
 
 Nothing in this module touches the closed forms; minima and maxima come
 from exhaustive search over vertex subsets, so the results certify the
-formula modules on small instances. xi_bruteforce_sweep answers every
-1 <= m <= m_max in one search. The exact lambda_h are the suffix minima of
-its values: a minimum cut meeting the size constraint leaves exactly two
-components, one of which has some size m in [h, 2^(n-1)].
+formula modules on small instances. One rooted branch and bound finds the
+least boundary of the connected sets of each size in a range.
+xi_bruteforce_sweep runs it once for every 1 <= m <= m_max, keeping a
+set only when its complement is connected too. The exact lambda_h are the
+suffix minima of its values: a minimum cut meeting the size constraint
+leaves exactly two components, one of which has some size m in
+[h, 2^(n-1)]. ex_bruteforce runs it for one size m with no condition on
+the complement and reads ex_m = degree*m - (least boundary): at every n it
+searches connected sets only, since the maximiser is connected for these
+graphs (for Q_n the lexicographic segment, by Harper's edge-isoperimetric
+theorem), which the tests check against every subset up to n = 4.
 
 Subsets are carried as integer bit masks (bit v set means vertex v is
 in), which keeps the inner loops at a few machine-word operations per
@@ -18,14 +25,14 @@ removed at one branching level stay excluded from the whole subtree, so
 no set is produced twice. enumerate_connected_subsets grows every set from
 its minimum-id vertex and so yields each connected set exactly once.
 
-The minimum and maximum searches grow from vertex 0 only. For any vertex
-a, x -> x ^ a leaves every u ^ v unchanged, so it maps edges (XOR by a
-generator) to edges and is an automorphism of every Q_{n,k}. For any a in
-S the set S ^ a contains 0 and has the same size, boundary, induced edges
-and connectivity on both sides, so every extremum is attained by a set
+The rooted search grows from vertex 0 only. For any vertex a, x -> x ^ a
+leaves every u ^ v unchanged, so it maps edges (XOR by a generator) to
+edges and is an automorphism of every Q_{n,k}. For any a in S the set
+S ^ a contains 0 and has the same size, boundary, induced edges and
+connectivity on both sides, so every extremum is attained by a set
 containing vertex 0.
 
-They also expand only one neighbour of 0 per root orbit. With p = n-k+1
+It also expands only one neighbour of 0 per root orbit. With p = n-k+1
 and c = 2^p - 1 the complement mask, e_1 + ... + e_p + c = 0, so any
 permutation of {e_1, ..., e_p, c} extends to a GF(2)-linear map; so does
 any permutation of {e_(p+1), ..., e_n}. Such a map fixes 0 and permutes
@@ -37,19 +44,25 @@ containing 2^p and still no first-orbit vertex, which is the branch of
 those are the first orbit (c < 2^p). Q_n (any permutation of e_1, ...,
 e_n) and Q_{n,1} (p = n) have one orbit.
 
-Each node of these searches carries three bit planes holding, for every
-vertex, its number of neighbours in the set (degree <= 6 fits in three
-bits); adding a vertex w updates them by a ripple carry on its neighbour
-mask. A child's boundary or edge count depends only on that number, so a
-node computes the least count a child needs to beat the current
-incumbents and examines only the candidates that have it. Incumbents
-only improve while a node is processed, so a skipped candidate would have
-failed its test anyway, and every survivor is still tested exactly.
+Its bound: a vertex joining a size-j set has at most min(j, degree)
+neighbours in it, so it lowers the boundary by at most
+2*min(j, degree) - degree. A branch is cut only when, by this bound, no
+descendant of any size in range can beat its incumbent, so the minima are
+exact.
+
+Each node carries three bit planes holding, for every vertex, its number
+of neighbours in the set (degree <= 6 fits in three bits); adding a
+vertex w updates them by a ripple carry on its neighbour mask. A child's
+boundary depends only on that number, so a node computes the least count
+a child needs to beat the current incumbents and examines only the
+candidates that have it. Incumbents only improve while a node is
+processed, so a skipped candidate would have failed its test anyway, and
+every survivor is still tested exactly.
 
 Every search takes an extension-step budget (default 10^9, any int >= 0)
 and raises ResourceLimitError once it is spent, so no call runs without
-bound. The rooted searches count every candidate of a node, skipped or
-not, and their error states the steps taken and the largest set grown.
+bound. The rooted search counts every candidate of a node, skipped or
+not. The error states the steps taken and the largest set grown.
 The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
 sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 enumerate_connected_subsets and sample_cuts check their arguments at the
@@ -62,7 +75,6 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import (
     MAX_EXHAUSTIVE_DIMENSION,
@@ -73,7 +85,6 @@ from .errors import (
 from .graphs import GraphSpec, mask_boundary, mask_connected
 
 DEFAULT_EXTENSION_BUDGET = 10**9
-MAX_ALL_SUBSET_DIMENSION = 4  # ex_bruteforce sweeps all subsets up to here
 SAMPLE_RETRIES = 20
 
 
@@ -97,13 +108,11 @@ class OracleResult:
     witness: frozenset[int]
 
 
-def _over_budget(
-    limit: int, steps: int | None = None, deepest: int | None = None
-) -> ResourceLimitError:
-    message = f"search exceeded the {limit} extension-step budget"
-    if steps is not None:
-        message += f" after {steps} steps, with sets of up to {deepest} vertices grown"
-    return ResourceLimitError(message)
+def _over_budget(limit: int, steps: int, deepest: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"search exceeded the {limit} extension-step budget"
+        f" after {steps} steps, with sets of up to {deepest} vertices grown"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +146,7 @@ def enumerate_connected_subsets(
 
 def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozenset[int]]:
     nbr = _neighbor_masks(spec)
-    steps = 0
+    steps = deepest = 0
     for v in range(spec.num_vertices):
         if m == 1:
             yield frozenset((v,))
@@ -146,12 +155,14 @@ def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozens
         stack = [(1 << v, nbr[v] & above, nbr[v] | (1 << v), 1)]
         while stack:
             sub, ext, seen, size = stack.pop()
+            if size > deepest:
+                deepest = size
             while ext:
                 wbit = ext & -ext
                 ext ^= wbit
                 steps += 1
                 if steps > budget:
-                    raise _over_budget(budget)
+                    raise _over_budget(budget, steps - 1, deepest)
                 grown = sub | wbit
                 if size + 1 == m:
                     yield _members(grown)
@@ -189,50 +200,48 @@ def _at_least(c0: int, c1: int, c2: int, need: int) -> int:
     return 0
 
 
-def xi_bruteforce_sweep(
-    spec: GraphSpec, m_max: int, budget: int = DEFAULT_EXTENSION_BUDGET
-) -> list[OracleResult]:
-    """Exact minimum boundaries for every 1 <= m <= m_max, in one search.
-
-    Branch and bound over the connected sets grown from vertex 0, which
-    by translation attain every minimum. A branch is cut only when no
-    descendant of any remaining size can beat an already proven boundary
-    (each added vertex changes the boundary by at least -degree), so the
-    minima are exact. Incumbents start from the lexicographic segments,
-    counted directly in the graph; every reported minimum is attained by
-    the recorded witness, whose two sides were both checked connected.
+def _rooted_minima(
+    spec: GraphSpec, m_lo: int, m_max: int, budget: int, split: bool
+) -> tuple[list[int], list[int | None]]:
+    """(best, witness): the least boundary and a witness mask for every
+    m_lo <= m <= m_max over the connected sets containing vertex 0, whose
+    complement must be connected too when split is set. Arguments are not
+    checked. Sizes below m_lo hold -infinity, so they never improve and add
+    nothing to the thresholds. Incumbents start from the lexicographic
+    segments, counted directly in the graph.
     """
-    _check_search(spec, budget)
-    DomainError.require(m_max, 1, spec.half, "m_max")
     nbr = _neighbor_masks(spec)
     degree = spec.degree
     full = (1 << spec.num_vertices) - 1
     infinity = 1 << 62
 
-    best = [infinity] * (m_max + 1)
+    best = [-infinity] * m_lo + [infinity] * (m_max + 1 - m_lo)
     witness: list[int | None] = [None] * (m_max + 1)
-    for m in range(1, m_max + 1):
+    for m in range(m_lo, m_max + 1):
         segment = (1 << m) - 1
-        if mask_connected(spec, segment) and mask_connected(spec, full ^ segment):
+        if mask_connected(spec, segment) and (not split or mask_connected(spec, full ^ segment)):
             best[m] = mask_boundary(spec, segment)
             witness[m] = segment
 
-    def thresholds() -> tuple[list[int], list[int]]:
-        # thr[j]: a size-j set with boundary >= thr[j] cannot improve any best[m'], m' > j;
-        # limit[j]: nor best[j] itself
-        thr = [0] * (m_max + 1)
-        running = -infinity
-        for j in range(m_max - 1, -1, -1):
-            running = max(best[j + 1], running) + degree
-            thr[j] = running
-        return thr, [max(pair) for pair in zip(best, thr)]
-
-    thr, limit = thresholds()
     roots = _root_candidates(spec)
     steps = deepest = 0
+    stale = True  # thr and limit are out of date with best
     stack = [(1, nbr[0], nbr[0] | 1, 1, degree, nbr[0], 0, 0)] if m_max > 1 else []
     while stack:
         sub, ext, seen, size, bound, c0, c1, c2 = stack.pop()
+        if stale:
+            # thr[j]: a size-j set with boundary >= thr[j] cannot improve any best[m'],
+            # m' > j; limit[j]: nor best[j] itself. A node's children all have one
+            # size j, and improving best[j] leaves thr[j] as it is, so updating
+            # them here, before the next node, is as good as at once. Keeping this
+            # `for` loop in the search's own frame also lets CPython 3.11 specialise
+            # the search: it counts warm-up on calls and unconditional backward
+            # jumps, and a `while cond:` loop closes with a conditional one.
+            thr = [-infinity] * (m_max + 1)
+            for j in range(m_max - 1, 0, -1):
+                thr[j] = max(best[j + 1], thr[j + 1]) - degree + 2 * min(j, degree)
+            limit = [max(pair) for pair in zip(best, thr)]
+            stale = False
         candidates = ext & roots if size == 1 else ext
         if size > deepest:
             deepest = size
@@ -248,16 +257,36 @@ def xi_bruteforce_sweep(
             wnbr = nbr[wbit.bit_length() - 1]
             grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
             grown = sub | wbit
-            if grown_bound < best[grown_size] and mask_connected(spec, full ^ grown):
+            if grown_bound < best[grown_size] and (
+                not split or mask_connected(spec, full ^ grown)
+            ):
                 best[grown_size] = grown_bound
                 witness[grown_size] = grown
-                thr, limit = thresholds()
-            if grown_size < m_max and grown_bound < thr[grown_size]:
+                stale = True
+            if grown_bound < thr[grown_size]:  # thr[m_max] is -infinity
                 carry = c0 & wnbr
                 stack.append((
                     grown, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, grown_size,
                     grown_bound, c0 ^ wnbr, c1 ^ carry, c2 ^ (c1 & carry),
                 ))
+    return best, witness
+
+
+def xi_bruteforce_sweep(
+    spec: GraphSpec, m_max: int, budget: int = DEFAULT_EXTENSION_BUDGET
+) -> list[OracleResult]:
+    """Exact minimum boundaries for every 1 <= m <= m_max, in one search.
+
+    The rooted branch and bound over the connected sets grown from vertex
+    0, which by translation attain every minimum, keeping a set only when
+    its complement is connected too. Its bound is admissible (a vertex
+    joining a size-j set has at most min(j, degree) neighbours in it), so
+    the minima are exact; every reported minimum is attained by the
+    recorded witness, whose two sides were both checked connected.
+    """
+    _check_search(spec, budget)
+    DomainError.require(m_max, 1, spec.half, "m_max")
+    best, witness = _rooted_minima(spec, 1, m_max, budget, split=True)
     results = []
     for m in range(1, m_max + 1):
         if witness[m] is None:
@@ -269,67 +298,19 @@ def xi_bruteforce_sweep(
 def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
     """Exact ex_m: twice the maximum induced edge count over size-m sets.
 
-    Only sets containing vertex 0 are searched, which by translation
-    attain the maximum. Up to n=4 every such subset is swept; at n=5 the
-    maximum is taken over connected sets only (the maximizer is connected
-    for these graphs, and the all-subset space is out of reach).
+    The rooted branch and bound for size m alone, with the same
+    min(j, degree) bound and no condition on the complement: a size-m set
+    has degree*m - (its boundary) doubled induced edges, so the least
+    boundary gives ex_m. Only connected sets containing
+    vertex 0 are searched, at every n. Translation puts 0 in any set, and
+    the maximiser is connected for these graphs (for Q_n the lexicographic
+    segment, by Harper's edge-isoperimetric theorem); the tests check the
+    answers against every subset for every graph with n <= 4.
     """
     _check_search(spec, budget)
     DomainError.require(m, 1, spec.num_vertices, "m")
-    degree = spec.degree
-    steps = 0
-
-    if spec.n <= MAX_ALL_SUBSET_DIMENSION:
-        top = 0
-        others = [1 << v for v in range(1, spec.num_vertices)]
-        for combo in combinations(others, m - 1):
-            if steps == budget:
-                raise _over_budget(budget, steps, m if steps else 1)
-            steps += 1
-            doubled = degree * m - mask_boundary(spec, 1 + sum(combo))
-            if doubled > top:
-                top = doubled
-        return top
-
-    # n = 5: branch and bound for maximum edges over connected sets. A set of
-    # size j can gain at most min(j, degree) edges per added vertex.
-    nbr = _neighbor_masks(spec)
-    segment = (1 << m) - 1
-    top = degree * m - mask_boundary(spec, segment) if mask_connected(spec, segment) else 0
-    allowance = [0] * (m + 1)
-    for j in range(m - 1, 0, -1):
-        allowance[j] = allowance[j + 1] + 2 * min(j, degree)
-    roots = _root_candidates(spec)
-    deepest = 0
-    stack = [(1, nbr[0], nbr[0] | 1, 1, 0, nbr[0], 0, 0)] if m > 1 else []
-    while stack:
-        sub, ext, seen, size, doubled, c0, c1, c2 = stack.pop()
-        candidates = ext & roots if size == 1 else ext
-        if size > deepest:
-            deepest = size
-        steps += candidates.bit_count()
-        if steps > budget:
-            raise _over_budget(budget, steps - candidates.bit_count(), deepest)
-        grown_size = size + 1
-        # a child adds 2*(its neighbours in sub) and must beat top with its allowance
-        todo = candidates & _at_least(
-            c0, c1, c2, (top - doubled - allowance[grown_size]) // 2 + 1
-        )
-        while todo:
-            wbit = todo & -todo
-            todo ^= wbit
-            wnbr = nbr[wbit.bit_length() - 1]
-            grown_doubled = doubled + 2 * (wnbr & sub).bit_count()
-            if grown_size == m:
-                if grown_doubled > top:
-                    top = grown_doubled
-            elif grown_doubled + allowance[grown_size] > top:
-                carry = c0 & wnbr
-                stack.append((
-                    sub | wbit, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, grown_size,
-                    grown_doubled, c0 ^ wnbr, c1 ^ carry, c2 ^ (c1 & carry),
-                ))
-    return top
+    best, _ = _rooted_minima(spec, m, m, budget, split=False)
+    return spec.degree * m - best[m]
 
 
 def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]:

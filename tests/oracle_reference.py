@@ -48,7 +48,7 @@ def xi_sweep(spec, m_max: int, roots: int = -1) -> tuple[list[tuple[int, frozens
         thr = [0] * (m_max + 1)
         running = -infinity
         for j in range(m_max - 1, -1, -1):
-            running = max(best[j + 1], running) + degree
+            running = max(best[j + 1], running) - degree + 2 * min(j, degree)
             thr[j] = running
         return thr
 

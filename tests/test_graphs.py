@@ -241,6 +241,27 @@ def test_pbm_empty_axes():
     assert pbm_text(np.zeros((3, 0), dtype=np.uint8)) == "P1\n3 0\n"
 
 
+@pytest.mark.parametrize(
+    "bitmap",
+    [
+        np.array([[2]]),
+        np.array([[10]]),
+        np.array([[-1]]),
+        np.array([[0, 1], [1, 0]], dtype=np.int8) - 1,
+        np.array([[0.0, 1.0]]),
+        np.array([[0.5]]),
+        np.array([0, 1]),
+        np.zeros((2, 2, 2), dtype=np.uint8),
+        np.zeros(0, dtype=np.uint8),
+        np.array([["0", "1"]]),
+    ],
+    ids=["2", "10", "-1", "int8-minus-one", "float-01", "float-half", "1d", "3d", "1d-empty", "str"],
+)
+def test_pbm_refuses_anything_but_a_2d_0_1_integer_array(bitmap):
+    with pytest.raises(DomainError):
+        pbm_text(bitmap)
+
+
 @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2)])
 def test_pbm_matches_row_reference(shape, dtype):

@@ -76,8 +76,10 @@ def test_generators_check_arguments_at_the_call():
 
 
 def test_enumerate_budget_exhaustion():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as excinfo:
         list(enumerate_connected_subsets(GraphSpec(4, 2), 5, budget=10))
+    # 5 candidates at {0}, 4 at {0, 8}, and the 10th at the size-3 set {0, 8, 15}
+    assert _over_budget_report(excinfo) == (5 + 4 + 1, 3)
 
 
 _BUDGETED = {
@@ -131,9 +133,13 @@ def test_budget_overrun_reports_how_far_the_search_got():
     steps, deepest = _over_budget_report(excinfo)
     assert 0 < steps <= 500
     assert 2 < deepest < 8
+    spec = GraphSpec(4, 2)
+    _, steps = oracle_reference.ex_connected(spec, 3, _root_candidates(spec))
+    # 2 candidates at the root {0}, then 4 and 8 at its two size-2 nodes
+    assert steps == 2 + 4 + 8
     with pytest.raises(ResourceLimitError) as excinfo:
-        ex_bruteforce(GraphSpec(4, 2), 3, budget=7)
-    assert _over_budget_report(excinfo) == (7, 3)
+        ex_bruteforce(spec, 3, budget=7)
+    assert _over_budget_report(excinfo) == (2 + 4, 2)
 
 
 def test_default_budget_answers():
@@ -165,13 +171,12 @@ def _check_against_reference(spec, m_max):
 def _check_ex_against_reference(spec, m):
     top = ex_bruteforce(spec, m)
     assert top == oracle_reference.ex_connected(spec, m)[0]
-    if spec.n == 5:
-        rooted, steps = oracle_reference.ex_connected(spec, m, _root_candidates(spec))
-        assert rooted == top
-        assert ex_bruteforce(spec, m, budget=steps) == top
-        if steps:
-            with pytest.raises(ResourceLimitError):
-                ex_bruteforce(spec, m, budget=steps - 1)
+    rooted, steps = oracle_reference.ex_connected(spec, m, _root_candidates(spec))
+    assert rooted == top
+    assert ex_bruteforce(spec, m, budget=steps) == top
+    if steps:
+        with pytest.raises(ResourceLimitError):
+            ex_bruteforce(spec, m, budget=steps - 1)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4, ids=_spec_id)
@@ -352,14 +357,12 @@ def test_ex_bruteforce_n5_connected():
     assert ex_bruteforce(GraphSpec(5), 6) == ex(GraphSpec(5), 6)
 
 
-@pytest.mark.parametrize("k", [None, 1, 2])
-def test_ex_bruteforce_matches_unrooted_sweep_n4(k):
-    # reference: every subset, not only those containing vertex 0
-    spec = GraphSpec(4, k)
-    for m in range(1, 17):
-        expected = max(
-            ref.induced_double_edges(spec, combo) for combo in combinations(range(16), m)
-        )
+@pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4, ids=_spec_id)
+def test_ex_bruteforce_matches_unrooted_sweep_n4(spec):
+    # reference: every subset, not only the connected ones containing vertex 0
+    everything = range(spec.num_vertices)
+    for m in range(1, spec.num_vertices + 1):
+        expected = max(ref.induced_double_edges(spec, combo) for combo in combinations(everything, m))
         assert ex_bruteforce(spec, m) == expected
 
 
