@@ -26,7 +26,7 @@ from .concentration import (
     suffix_minima,
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import ex, xi
+from .extremal import _require_closed_form, ex, xi
 from .graphs import GraphSpec, adjacency_bitmap, pbm_text
 from .oracle import sample_cuts, xi_bruteforce_sweep
 
@@ -276,7 +276,7 @@ def verify_cmd(n, family, k, mode, samples, seed):
     cuts checked against the xi lower bound (n <= 12).
     """
     spec = _graph_spec(n, family, k)
-    ex(spec, 1)  # reject a family without a closed form before the oracle or sampler runs
+    _require_closed_form(spec)  # before the oracle or the sampler runs
     if mode == "exact":
         half = spec.half
         results = xi_bruteforce_sweep(spec, half)

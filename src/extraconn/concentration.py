@@ -5,14 +5,16 @@ whose removal leaves two connected components of at least h vertices each.
 For Q_{n,2} with n >= 9 it is the constant 2^(n-1) on the whole interval
 [ceil(11*2^(n-1)/48), 2^(n-1)]; the breakpoints m_{n,r} partition that
 interval and are exactly the h values where lambda_h = xi_h. breakpoints
-answers 4 <= n <= 62, reading n <= 8 from a small table; the
-concentration report takes 9 <= n <= 62.
+answers 4 <= n <= 62, by one formula except at n = 4; the concentration
+report takes 9 <= n <= 62.
 
-A profile (n <= 26) fills every xi_m into one int64 array by dyadic block
-doublings of ex and takes lambda as its suffix minima. A point query and
-the concentration report never touch single values of m: xi is a sum of
-weights over the set bits of m, so the minimum over an interval is read
-off O(n) aligned dyadic blocks in O(n^2) steps (n <= 62).
+Only Q_n and Q_{n,2} have a closed form; lambda_profile and lambda_at
+refuse any other family once, after their range checks and before any
+work. A profile (n <= 26) fills every xi_m into one int64 array by xi's
+own dyadic block doublings and takes lambda as its suffix minima. A point
+query and the concentration report never touch single values of m: xi is
+a sum of weights over the set bits of m, so the minimum over an interval
+is read off O(n) aligned dyadic blocks in O(n^2) steps (n <= 62).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .extremal import _ex_profile, ex, xi
+from .extremal import _require_closed_form, _xi_profile, xi
 from .graphs import GraphSpec
 
 
@@ -66,10 +68,8 @@ def lambda_profile(family: GraphSpec) -> XiProfile:
             f"profiles are materialized only up to n={MAX_PROFILE_DIMENSION}; "
             f"use lambda_at for point queries"
         )
-    ex(family, 1)  # a family without a closed form is rejected here
-    degree = family.degree
-    xs = _ex_profile(family)[1:]  # xi = degree*m - ex, built in the ex buffer
-    np.subtract(np.arange(degree, degree * family.half + 1, degree, dtype=np.int64), xs, out=xs)
+    _require_closed_form(family)
+    xs = _xi_profile(family)[1:]
     lambdas = suffix_minima(xs)
     xs.flags.writeable = lambdas.flags.writeable = False
     return XiProfile(family, xs, lambdas)
@@ -97,7 +97,6 @@ def _blocks(family: GraphSpec, lo: int, hi: int):
     is the degree, less 2 on the part of Q_{n,2} above a quarter, where
     the complementary edges add the constant 2^(n-1) and 2 per vertex.
     """
-    ex(family, 1)  # a family without a closed form is rejected here
     quarter = family.half >> 1
     if family.k is None:
         runs = [(lo, hi, family.degree)]
@@ -151,6 +150,7 @@ def lambda_at(family: GraphSpec, h: int) -> int:
     _free_minima's least weight of its free low bits.
     """
     DomainError.require(h, 1, family.half, "h")
+    _require_closed_form(family)
     return _interval_min(family, h, family.half)
 
 
@@ -169,30 +169,20 @@ def h_min(n: int) -> int:
     return (11 * (1 << (n - 1)) + 47) // 48
 
 
-# Small dimensions do not realize all four ranges of the general pattern;
-# their breakpoint sequences are enumerated directly.
-_SMALL_BREAKPOINTS = {
-    4: (1,),
-    5: (4, 16),
-    6: (8, 32),
-    7: (15, 16, 64),
-    8: (30, 32, 128),
-}
-
-
 def breakpoints(n: int) -> Breakpoints:
-    """Breakpoint values for 4 <= n <= 62; n <= 8 is read from a small table.
+    """Breakpoint values for 4 <= n <= 62.
 
-    From n = 9 on they follow the four-range definition. With f the parity
-    flag of n and r running to ceil(n/2)-1: the early values add a
-    three-term leading block, a geometric middle block and a single low
-    power 2^(2r-1-f); the last three values are the fixed patterns summing
-    four leading powers, 2^(n-3), and 2^(n-1).
+    They follow the four-range definition, except at n = 4, where it
+    gives (8,) but the one breakpoint is 1. With f the parity flag of n
+    and r running to ceil(n/2)-1: the early values add a three-term
+    leading block, a geometric middle block and a single low power
+    2^(2r-1-f); the last three values are the fixed patterns summing four
+    leading powers, 2^(n-3), and 2^(n-1).
     """
     DomainError.require(n, 4, MAX_DIMENSION, "n")
     f = n & 1
-    if n in _SMALL_BREAKPOINTS:
-        return Breakpoints(n, f, _SMALL_BREAKPOINTS[n])
+    if n == 4:
+        return Breakpoints(n, f, (1,))
     count = (n + 1) // 2 - 1
     values = []
     for r in range(1, count + 1):

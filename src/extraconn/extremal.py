@@ -3,9 +3,11 @@
 ex_m is twice the maximum number of edges an m-vertex induced subgraph can
 have; it is attained by the lexicographic segment {0, ..., m-1}, which makes
 the minimum boundary over size-m sets with both sides connected equal to
-degree*m - ex_m. ex and xi are the two entry points; each checks its
-arguments once and calls one unchecked body. _ex_profile (unchecked) fills
-ex_0..ex_{2^(n-1)} into one int64 array for profiles. All arithmetic is
+xi_m = degree*m - ex_m. ex and xi are the two entry points; each checks
+its arguments once and calls one unchecked body. _require_closed_form is
+the one family check, which the profile and lambda entry points also call
+before any work. _xi_profile (unchecked) fills xi_0..xi_{2^(n-1)} into one
+int64 array for profiles by xi's own block doublings. All arithmetic is
 exact: values reach the 2^(n+6) scale and no floating point is used.
 """
 
@@ -49,10 +51,10 @@ def _ex(spec: GraphSpec, m: int) -> int:
     return value + wraps * half + 2 * max(m - wraps * half - (half >> 1), 0)
 
 
-def _ex_profile(spec: GraphSpec) -> np.ndarray:
-    """ex_0..ex_{2^(n-1)} as one int64 array, unchecked: ex(2^t + r) =
-    ex(r) + 2r + t*2^t for r < 2^t fills each [2^t, 2^(t+1)) from [0, 2^t).
-    Q_{n,2} adds 2*[m - 2^(n-2)]^+, which at m = 2^(n-1) is the wrap term.
+def _xi_profile(spec: GraphSpec) -> np.ndarray:
+    """xi_0..xi_{2^(n-1)} as one int64 array, unchecked: xi(2^t + r) =
+    xi(r) + (degree - t)*2^t - 2r for r < 2^t fills each [2^t, 2^(t+1))
+    from [0, 2^t). Q_{n,2} subtracts 2*[m - 2^(n-2)]^+, its ex credit.
     Each block is written in place from one ramp 2r, r <= 2^(n-2)."""
     half = spec.half
     ramp = np.arange(0, half + 1, 2, dtype=np.int64)
@@ -61,10 +63,10 @@ def _ex_profile(spec: GraphSpec) -> np.ndarray:
         size = 1 << t
         low = min(size, half + 1 - size)
         block = out[size : size + low]
-        np.add(out[:low], ramp[:low], out=block)
-        block += t * size
+        np.subtract(out[:low], ramp[:low], out=block)
+        block += (spec.degree - t) * size
     if spec.k is not None:
-        out[half >> 1 :] += ramp
+        out[half >> 1 :] -= ramp
     return out
 
 

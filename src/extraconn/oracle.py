@@ -8,11 +8,13 @@ xi_bruteforce_sweep runs it once for every 1 <= m <= m_max, keeping a
 set only when its complement is connected too. The exact lambda_h are the
 suffix minima of its values: a minimum cut meeting the size constraint
 leaves exactly two components, one of which has some size m in
-[h, 2^(n-1)]. ex_bruteforce runs it for one size m with no condition on
-the complement and reads ex_m = degree*m - (least boundary): at every n it
-searches connected sets only, since the maximiser is connected for these
-graphs (for Q_n the lexicographic segment, by Harper's edge-isoperimetric
-theorem), which the tests check against every subset up to n = 4.
+[h, 2^(n-1)]. ex_bruteforce runs it for one size with no condition on
+the complement and reads ex_m = degree*m - (least boundary). A set and its
+complement have the same boundary, so it searches the smaller side,
+size min(m, 2^n - m). At every n it searches connected sets only, since
+the minimiser is connected for these graphs (for Q_n the lexicographic
+segment, by Harper's edge-isoperimetric theorem), which the tests check
+against every subset up to n = 4.
 
 Subsets are carried as integer bit masks (bit v set means vertex v is
 in), which keeps the inner loops at a few machine-word operations per
@@ -298,26 +300,30 @@ def xi_bruteforce_sweep(
 def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
     """Exact ex_m: twice the maximum induced edge count over size-m sets.
 
-    The rooted branch and bound for size m alone, with the same
-    min(j, degree) bound and no condition on the complement: a size-m set
-    has degree*m - (its boundary) doubled induced edges, so the least
-    boundary gives ex_m. Only connected sets containing
-    vertex 0 are searched, at every n. Translation puts 0 in any set, and
-    the maximiser is connected for these graphs (for Q_n the lexicographic
-    segment, by Harper's edge-isoperimetric theorem); the tests check the
-    answers against every subset for every graph with n <= 4.
+    A size-m set has degree*m - (its boundary) doubled induced edges, and
+    its complement has the same boundary, so the least boundary over sets
+    of size s = min(m, 2^n - m) gives ex_m. That is the rooted branch and
+    bound for size s alone, with the same min(j, degree) bound and no
+    condition on the complement; m = 2^n gives s = 0 and boundary 0. Only
+    connected sets containing vertex 0 are searched, at every n.
+    Translation puts 0 in any set, and the minimiser is connected for these
+    graphs (for Q_n the lexicographic segment, by Harper's
+    edge-isoperimetric theorem); the tests check the answers against every
+    subset for every graph with n <= 4.
     """
     _check_search(spec, budget)
     DomainError.require(m, 1, spec.num_vertices, "m")
-    best, _ = _rooted_minima(spec, m, m, budget, split=False)
-    return spec.degree * m - best[m]
+    s = min(m, spec.num_vertices - m)
+    best, _ = _rooted_minima(spec, s, s, budget, split=False)
+    return spec.degree * m - best[s]
 
 
 def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]:
     """Seeded random cuts with both sides connected.
 
     Each sample grows a connected set by a random walk from a random start
-    vertex until a random target size of at most half the vertices, then
+    vertex, crossing the edge of a random generator at each step, until a
+    random target size of at most half the vertices, then
     keeps it only if the complement is connected too; up to SAMPLE_RETRIES
     regrowths are attempted before the sample is skipped. The generator is
     random.Random (Mersenne Twister), so a fixed seed replays the identical
@@ -332,7 +338,7 @@ def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]
 
 def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]:
     total = spec.num_vertices
-    adjacency = tuple(tuple(sorted(v ^ g for g in spec.generators)) for v in range(total))
+    generators = spec.generators
     full = (1 << total) - 1
     rng = random.Random(seed)
     walk_cap = 64 * spec.degree
@@ -345,7 +351,7 @@ def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSampl
             size = 1
             stalls = 0
             while size < target and stalls < walk_cap * target:
-                current = rng.choice(adjacency[current])
+                current ^= rng.choice(generators)
                 bit = 1 << current
                 if mask & bit:
                     stalls += 1
@@ -356,7 +362,7 @@ def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSampl
                 continue
             if mask_connected(spec, full ^ mask):
                 yield CutSample(
-                    h=min(size, total - size),
+                    h=size,
                     cut_size=mask_boundary(spec, mask),
                     both_connected=True,
                 )

@@ -9,7 +9,7 @@ import cli_reference as ref
 import pytest
 from click.testing import CliRunner
 
-from extraconn import GraphSpec, lambda_profile
+from extraconn import DomainError, GraphSpec, lambda_at, lambda_profile
 from extraconn import cli
 from extraconn.cli import main
 
@@ -51,6 +51,23 @@ def test_family_without_closed_form_exit_1(runner):
         result = runner.invoke(main, ["verify", "--n", "4", "--family", "fqn", "--mode", mode])
         assert result.exit_code == 1
         assert "no closed form" in result.output
+
+
+def test_family_check_runs_before_any_search(runner, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran before the family check")
+
+    # the Q_{5,1} exact sweep would take minutes, so it must never start
+    monkeypatch.setattr(cli, "xi_bruteforce_sweep", refuse)
+    monkeypatch.setattr(cli, "sample_cuts", refuse)
+    for mode in ("exact", "sample"):
+        result = runner.invoke(main, ["verify", "--n", "5", "--family", "fqn", "--mode", mode])
+        assert result.exit_code == 1
+        assert "no closed form" in result.output
+    with pytest.raises(DomainError, match="no closed form"):
+        lambda_at(GraphSpec(6, 3), 1)
+    with pytest.raises(DomainError, match="no closed form"):
+        lambda_profile(GraphSpec(6, 1))
 
 
 def test_closed_forms_share_dimension_cap(runner):

@@ -15,7 +15,6 @@ from extraconn import (
     VerificationError,
     breakpoints,
     concentration_report,
-    ex,
     h_min,
     lambda_at,
     lambda_profile,
@@ -77,12 +76,13 @@ def test_profile_matches_scalar_closed_form_sampled(n, k):
     family = GraphSpec(n, k)
     half = family.half
     profile = lambda_profile(family)
-    table = extraconn.extremal._ex_profile(family)
+    table = extraconn.extremal._xi_profile(family)
+    assert table[0] == 0
     edges = [1, half >> 1, (half >> 1) + 1, half - 1, half]
     rng = random.Random(n * 5 + (k or 0))
     for m in edges + [rng.randint(1, half) for _ in range(1000)]:
         assert profile.xi_at(m) == xi(family, m), m
-        assert int(table[m]) == ex(family, m), m
+        assert int(table[m]) == xi(family, m), m
     for h in edges:
         assert profile.lambda_at(h) == lambda_at(family, h), h
 

@@ -171,8 +171,10 @@ def _check_against_reference(spec, m_max):
 def _check_ex_against_reference(spec, m):
     top = ex_bruteforce(spec, m)
     assert top == oracle_reference.ex_connected(spec, m)[0]
-    rooted, steps = oracle_reference.ex_connected(spec, m, _root_candidates(spec))
-    assert rooted == top
+    # the package searches the smaller side, whose boundary is the same
+    s = min(m, spec.num_vertices - m)
+    rooted, steps = oracle_reference.ex_connected(spec, s, _root_candidates(spec))
+    assert rooted + spec.degree * (m - s) == top
     assert ex_bruteforce(spec, m, budget=steps) == top
     if steps:
         with pytest.raises(ResourceLimitError):
@@ -199,6 +201,13 @@ def test_sweep_matches_reference_n5(spec):
 def test_ex_bruteforce_matches_reference_n5(spec):
     for m in range(1, 8):
         _check_ex_against_reference(spec, m)
+
+
+@pytest.mark.parametrize("k", [None, 2])
+def test_ex_bruteforce_above_half_searches_the_complement(k):
+    spec = GraphSpec(5, k)
+    for m in (20, 24, 28, 32):
+        assert ex_bruteforce(spec, m) == ex(spec, m), m
 
 
 @pytest.mark.parametrize("spec", N5_SPECS, ids=_spec_id)
