@@ -11,8 +11,10 @@ generator maps a set to its image by a chain of block swaps (one per set
 bit of the generator), so boundaries and connectivity cost a few big-int
 operations per generator, with no per-vertex loop.
 mask_boundary and mask_connected are the one implementation of boundary
-counting and of induced connectivity; the oracle calls them too. Sets are
-taken for n <= MAX_SET_DIMENSION (128 KiB per set at n = 20).
+counting and of induced connectivity; the oracle calls them too.
+table_mask is the one conversion from a 2^n byte table of members to a
+mask, for the set functions and the cut sampler. Sets are taken for
+n <= MAX_SET_DIMENSION (128 KiB per set at n = 20).
 
 All functions are pure and every returned value is immutable, so they are
 safe to call concurrently.
@@ -137,6 +139,11 @@ def mask_connected(spec: GraphSpec, mask: int) -> bool:
     return not rest
 
 
+def table_mask(table: bytearray) -> int:
+    """The mask of a byte table, bit v set when byte v is nonzero. Unchecked."""
+    return int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
+
+
 def _members_mask(spec: GraphSpec, members: Iterable[int]) -> int:
     """The mask of a vertex set, after checking n and every member."""
     DomainError.require(spec.n, 2, MAX_SET_DIMENSION, "n")
@@ -145,7 +152,7 @@ def _members_mask(spec: GraphSpec, members: Iterable[int]) -> int:
     for v in members:
         DomainError.require(v, 0, top, "vertex")
         bits[v] = 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return table_mask(bits)
 
 
 def induced_double_edge_count(spec: GraphSpec, members: Iterable[int]) -> int:

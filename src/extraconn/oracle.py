@@ -69,6 +69,12 @@ The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
 sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 enumerate_connected_subsets and sample_cuts check their arguments at the
 call and then return a generator.
+
+The sampler's walk costs a few bytecodes a step. It draws its generators
+in batches, rng.choices(generators, k=2*(target - size) + 8), steps through
+a batch until the walk ends and drops the rest. It marks visits in a 2^n
+bytearray, turned into a mask once per attempt by graphs.table_mask:
+`mask |= 1 << v` would copy the whole 2^n-bit int at every new vertex.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ from .errors import (
     DomainError,
     ResourceLimitError,
 )
-from .graphs import GraphSpec, mask_boundary, mask_connected
+from .graphs import GraphSpec, mask_boundary, mask_connected, table_mask
 
 DEFAULT_EXTENSION_BUDGET = 10**9
 SAMPLE_RETRIES = 20
@@ -323,10 +329,15 @@ def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]
 
     Each sample grows a connected set by a random walk from a random start
     vertex, crossing the edge of a random generator at each step, until a
-    random target size of at most half the vertices, then
-    keeps it only if the complement is connected too; up to SAMPLE_RETRIES
-    regrowths are attempted before the sample is skipped. The generator is
-    random.Random (Mersenne Twister), so a fixed seed replays the identical
+    random target size of at most half the vertices, then keeps it only if
+    the complement is connected too. A walk that lands on visited vertices
+    64*degree*target times first is abandoned; up to SAMPLE_RETRIES
+    regrowths are attempted before the sample is skipped. The generators
+    are drawn in batches by random.choices and visits are marked in a byte
+    table (see the module docstring); batches leave their unused draws
+    behind, so the stream for a given seed differs from the one-draw-a-step
+    walk's. The generator is random.Random (Mersenne Twister), and choices
+    takes floor(random() * len), so a fixed seed replays the identical
     stream on any platform. The seed is an int >= 0 (random.Random seeds by
     absolute value, so a negative seed would replay its mirror).
     """
@@ -347,19 +358,26 @@ def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSampl
         for _attempt in range(SAMPLE_RETRIES):
             target = rng.randint(1, spec.half)
             current = rng.randrange(total)
-            mask = 1 << current
+            visited = bytearray(total)
+            visited[current] = 1
             size = 1
             stalls = 0
-            while size < target and stalls < walk_cap * target:
-                current ^= rng.choice(generators)
-                bit = 1 << current
-                if mask & bit:
-                    stalls += 1
-                else:
-                    mask |= bit
-                    size += 1
+            stall_cap = walk_cap * target
+            while size < target and stalls < stall_cap:
+                for g in rng.choices(generators, k=2 * (target - size) + 8):
+                    current ^= g
+                    if visited[current]:
+                        stalls += 1
+                        if stalls == stall_cap:
+                            break
+                    else:
+                        visited[current] = 1
+                        size += 1
+                        if size == target:
+                            break
             if size < target:
                 continue
+            mask = table_mask(visited)
             if mask_connected(spec, full ^ mask):
                 yield CutSample(
                     h=size,

@@ -1,19 +1,25 @@
-"""The oracle's rooted searches without symmetry breaking or count filter.
+"""The oracle's searches and cut sampler as they were before their speed-ups.
 
-These are the branch and bound loops extraconn.oracle ran before its
-searches expanded one vertex per root orbit and skipped candidates by
-neighbour count: every neighbour of vertex 0 is expanded, and every
-candidate is popped and tested one at a time. They are the reference the
-faster searches are compared with. Neighbour masks are built from the
-edge definition in graph_reference, not taken from the package.
+xi_sweep and ex_connected are the branch and bound loops extraconn.oracle
+ran before its searches expanded one vertex per root orbit and skipped
+candidates by neighbour count: every neighbour of vertex 0 is expanded, and
+every candidate is popped and tested one at a time. Neighbour masks are
+built from the edge definition in graph_reference, not taken from the
+package.
 
 Both also return their step count, one per candidate examined. With
 `roots` set to the package's root mask they expand only those neighbours
 of vertex 0, so the count filter of the package must then reproduce
 their traversal, witnesses and step count exactly.
+
+walk is the sampler's random walk before it drew its generators in
+batches and marked visits in a byte table: one generator per step, visits
+marked in an int mask.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from graph_reference import neighbors
 
@@ -109,3 +115,22 @@ def ex_connected(spec, m: int, roots: int = -1) -> tuple[int, int]:
                     (sub | wbit, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_doubled)
                 )
     return top, steps
+
+
+def walk(start: int, target: int, steps: Iterator[int], stall_cap: int) -> int | None:
+    """The cut sampler's walk, one generator drawn per step: from start, XOR
+    by the next generator of `steps` until target vertices are visited or
+    stall_cap steps have landed on visited ones. The visited mask, or None
+    when the stalls ran out first."""
+    mask = 1 << start
+    size = 1
+    stalls = 0
+    while size < target and stalls < stall_cap:
+        start ^= next(steps)
+        bit = 1 << start
+        if mask & bit:
+            stalls += 1
+        else:
+            mask |= bit
+            size += 1
+    return mask if size == target else None

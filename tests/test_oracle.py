@@ -1,7 +1,8 @@
 import inspect
 import random
 import re
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
+from types import SimpleNamespace
 
 import graph_reference as ref
 import oracle_reference
@@ -21,7 +22,13 @@ from extraconn import (
     xi,
     xi_bruteforce_sweep,
 )
-from extraconn.oracle import DEFAULT_EXTENSION_BUDGET, _at_least, _root_candidates
+from extraconn import oracle
+from extraconn.oracle import (
+    DEFAULT_EXTENSION_BUDGET,
+    SAMPLE_RETRIES,
+    _at_least,
+    _root_candidates,
+)
 
 ALL_SPECS_UP_TO_4 = [GraphSpec(n, k) for n in range(2, 5) for k in (None, *range(1, n))]
 N5_SPECS = [GraphSpec(5, k) for k in (None, 1, 2, 3, 4)]
@@ -416,3 +423,119 @@ def test_sample_cuts_respect_lower_bound():
 def test_sample_cuts_rejects_large_dimension():
     with pytest.raises(DomainError):
         list(sample_cuts(GraphSpec(13, 2), 1, seed=0))
+
+
+class _ScriptedRandom:
+    """Stands in for random.Random in the sampler: randint and randrange
+    return fixed values, and choices hands out the next k items of one
+    fixed sequence of generators."""
+
+    def __init__(self, target, start, draws):
+        self.target = target
+        self.start = start
+        self.draws = draws
+        self.randint_calls = 0
+
+    def randint(self, a, b):
+        self.randint_calls += 1
+        return self.target
+
+    def randrange(self, stop):
+        return self.start
+
+    def choices(self, population, k):
+        return list(islice(self.draws, k))
+
+
+def _script(monkeypatch, scripted):
+    monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=lambda seed: scripted))
+
+
+def _generator_sequence(spec, seed):
+    """An endless seeded sequence of generators, read off the neighbours of
+    vertex 0 in the reference edge definition."""
+    generators = sorted(ref.neighbors(spec, 0))
+    rng = random.Random(seed)
+    while True:
+        yield rng.choice(generators)
+
+
+SAMPLER_SPECS = [GraphSpec(n, k) for n in range(3, 13) for k in (None, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=_spec_id)
+def test_sampler_walk_matches_per_step_reference(spec, monkeypatch):
+    # the batched walk must visit exactly what the per-step walk visits
+    # over the same generator sequence, from the same start to the same target
+    start = spec.num_vertices - 1
+    for target in sorted({2, spec.half * 3 // 4}):
+        scripted = _ScriptedRandom(target, start, _generator_sequence(spec, 1))
+        _script(monkeypatch, scripted)
+        first = next(sample_cuts(spec, 1, seed=0))
+        mask = oracle_reference.walk(
+            start, target, _generator_sequence(spec, 1), 64 * spec.degree * target
+        )
+        walked = oracle_reference.members(mask)
+        # so the first attempt is the one kept
+        assert ref.connected(spec, frozenset(range(spec.num_vertices)) - walked)
+        assert first == extraconn.CutSample(
+            h=len(walked), cut_size=ref.boundary(spec, walked), both_connected=True
+        )
+        assert scripted.randint_calls == 1
+
+
+def test_sampler_gives_up_after_stalls_and_retries(monkeypatch):
+    # one generator only: the walk bounces between two vertices and stalls
+    spec = GraphSpec(4, 2)
+    target, samples = 3, 4
+    scripted = _ScriptedRandom(target, 5, repeat(1))
+    _script(monkeypatch, scripted)
+    assert list(sample_cuts(spec, samples, seed=0)) == []
+    assert scripted.randint_calls == samples * SAMPLE_RETRIES
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(12), GraphSpec(12, 2)], ids=_spec_id)
+def test_sample_cuts_at_the_dimension_cap(spec):
+    cuts = list(sample_cuts(spec, 30, seed=5))
+    assert cuts
+    for cut in cuts:
+        assert cut.both_connected
+        assert 1 <= cut.h <= 2048
+        assert cut.cut_size >= xi(spec, cut.h)
+        assert (cut.cut_size - spec.degree * cut.h) % 2 == 0
+    assert list(sample_cuts(spec, 30, seed=5)) == cuts
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_sampler_stall_cap_is_checked_on_every_step(extra, monkeypatch):
+    # after one new vertex, stall_cap - 1 + extra revisits, then a new vertex:
+    # the walk reaches target 3 only if the cap was not hit first
+    spec = GraphSpec(4, 2)
+    target = 3
+    stall_cap = 64 * spec.degree * target
+    prefix = [1] * (stall_cap + extra) + [2]
+    scripted = _ScriptedRandom(target, 5, chain(prefix, repeat(1)))
+    _script(monkeypatch, scripted)
+    cuts = list(sample_cuts(spec, 1, seed=0))
+    mask = oracle_reference.walk(5, target, chain(prefix, repeat(1)), stall_cap)
+    if extra:
+        assert mask is None
+        assert cuts == []
+    else:
+        walked = oracle_reference.members(mask)
+        assert walked == {5, 4, 5 ^ 2}  # the cap is even, so the walk is back at 5
+        assert cuts == [extraconn.CutSample(3, ref.boundary(spec, walked), True)]
+
+
+def test_sampler_drops_a_walk_whose_complement_is_disconnected(monkeypatch):
+    # from 1 the walk visits every neighbour of 0 but not 0, so 0 is cut off;
+    # every retry then bounces on one generator until the stall cap
+    spec = GraphSpec(4)
+    prefix = [2, 1, 1, 2, 4, 1, 1, 4, 8, 1]
+    walked = oracle_reference.members(oracle_reference.walk(1, 7, iter(prefix), 64 * 4 * 7))
+    assert walked == {1, 2, 3, 4, 5, 8, 9}
+    assert not ref.connected(spec, frozenset(range(16)) - walked)
+    scripted = _ScriptedRandom(7, 1, chain(prefix, repeat(1)))
+    _script(monkeypatch, scripted)
+    assert list(sample_cuts(spec, 1, seed=0)) == []
+    assert scripted.randint_calls == SAMPLE_RETRIES
