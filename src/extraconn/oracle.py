@@ -34,17 +34,29 @@ S ^ a contains 0 and has the same size, boundary, induced edges and
 connectivity on both sides, so every extremum is attained by a set
 containing vertex 0.
 
-It also expands only one neighbour of 0 per root orbit. With p = n-k+1
-and c = 2^p - 1 the complement mask, e_1 + ... + e_p + c = 0, so any
-permutation of {e_1, ..., e_p, c} extends to a GF(2)-linear map; so does
-any permutation of {e_(p+1), ..., e_n}. Such a map fixes 0 and permutes
-the generators, so it is an automorphism. A connected set containing 0
-and a first-orbit neighbour maps onto one containing 0 and vertex 1; a
-set whose neighbours of 0 all lie in the second orbit maps onto one
-containing 2^p and still no first-orbit vertex, which is the branch of
-2^p, since canonical extension excludes the neighbours of 0 below it and
-those are the first orbit (c < 2^p). Q_n (any permutation of e_1, ...,
-e_n) and Q_{n,1} (p = n) have one orbit.
+It also expands one candidate per orbit of each node's stabiliser, the
+isomorph rejection of canonical augmentation (B. D. McKay, J. Algorithms
+26, 1998). The group G is every GF(2)-linear map permuting the generators,
+found by trying each ordered choice of generators as the images of
+e_1..e_n. Such a map fixes 0 and is an automorphism: if u ^ v is a
+generator, so is s(u) ^ s(v) = s(u ^ v). G has n! elements for Q_n,
+(n+1)! for Q_{n,1} and (p+1)!*(n-p)! for k >= 2, with p = n-k+1.
+
+A node with set A, candidates ext and excluded vertices X (seen, less A
+and ext) heads the subtree of every connected S containing A and avoiding
+X. The root {0} carries H = G. Its child through candidate w carries the
+elements of H that fix w and map B_w, the node's candidates below w, onto
+itself, so every element of a node's H fixes A pointwise and X setwise,
+and so maps ext onto itself. If s in H maps w_i to w_j with j < i, it maps
+each set of branch i onto a set containing A and w_j and avoiding X, in a
+branch <= j, with the same size, boundary and connectivity on both sides.
+By induction on i every set of the subtree is matched so in the branch of
+an orbit's least candidate, so a node need only expand those, and the
+minima of xi_bruteforce_sweep and ex_bruteforce stay exact under the
+unchanged bound. _orbit_minima walks the tree once per graph, down to the
+nodes whose H is trivial, and keeps the surviving candidates as one mask
+per node where some are dropped; the root keeps vertex 1, plus 2^p when
+k >= 2.
 
 Its bound: a vertex joining a size-j set has at most min(j, degree)
 neighbours in it, so it lowers the boundary by at most
@@ -63,8 +75,9 @@ every survivor is still tested exactly.
 
 Every search takes an extension-step budget (default 10^9, any int >= 0)
 and raises ResourceLimitError once it is spent, so no call runs without
-bound. The rooted search counts every candidate of a node, skipped or
-not. The error states the steps taken and the largest set grown.
+bound. The rooted search counts, as one step each, the orbit-minimum
+candidates of every node it pops, whether or not the count filter skips
+them. The error states the steps taken and the largest set grown.
 The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
 sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 enumerate_connected_subsets and sample_cuts check their arguments at the
@@ -83,6 +96,8 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
+from operator import itemgetter
 
 from .errors import (
     MAX_EXHAUSTIVE_DIMENSION,
@@ -179,12 +194,62 @@ def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozens
                     stack.append((grown, ext | (wnbr & ~seen & above), seen | wnbr, size + 1))
 
 
-def _root_candidates(spec: GraphSpec) -> int:
-    """Mask of the neighbours of 0 the rooted searches expand, one per orbit:
-    vertex 1, and vertex 2^(n-k+1) when k >= 2 (see the module docstring)."""
-    if spec.k is None or spec.k == 1:
-        return 0b10
-    return 0b10 | 1 << (1 << (spec.n - spec.k + 1))
+@lru_cache(maxsize=None)
+def _automorphisms(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
+    """Every GF(2)-linear map that permutes spec.generators, as a vertex
+    permutation: each ordered choice of generators as the images of e_1..e_n
+    that maps the generators onto themselves (see the module docstring)."""
+    generators = set(spec.generators)
+    group = []
+    for images in permutations(spec.generators, spec.n):
+        perm = [0]
+        for image in images:  # v + 2^j maps to perm[v] ^ image, for v < 2^j
+            perm += [v ^ image for v in perm]
+        if {perm[g] for g in generators} == generators:
+            group.append(tuple(perm))
+    return tuple(group)
+
+
+@lru_cache(maxsize=None)
+def _orbit_minima(spec: GraphSpec) -> dict[int, int]:
+    """{set mask: mask of its candidates to expand} for every node of the
+    rooted search where its stabiliser drops a candidate, keeping the least
+    candidate of each orbit (see the module docstring). The walk follows the
+    canonical-extension tree from {0}, without the bound, down to the nodes
+    whose stabiliser is trivial."""
+    nbr = _neighbor_masks(spec)
+    keep = {}
+    stack = [(1, nbr[0], nbr[0] | 1, _automorphisms(spec))]
+    while stack:
+        sub, ext, seen, group = stack.pop()
+        candidates = [v for v in range(ext.bit_length()) if ext >> v & 1]
+        kept = 0
+        rest = ext
+        for i, w in enumerate(candidates):
+            if not rest >> w & 1:
+                continue
+            kept |= 1 << w
+            orbit = {sigma[w] for sigma in group}
+            for v in orbit:
+                rest &= ~(1 << v)
+            if len(orbit) == len(group):  # |stabiliser of w| = |group| / |orbit| = 1
+                continue
+            child = [sigma for sigma in group if sigma[w] == w]
+            if i:
+                # sigma permutes ext and fixes w, so it maps the candidates
+                # below w onto themselves iff none of the first i+1 goes above w.
+                # At n <= 5 this drops no map, but the proof needs it
+                below = itemgetter(*candidates[: i + 1])
+                child = [sigma for sigma in child if max(below(sigma)) == w]
+            if len(child) > 1:
+                wbit = 1 << w
+                wnbr = nbr[w]
+                stack.append(
+                    (sub | wbit, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, child)
+                )
+        if kept != ext:
+            keep[sub] = kept
+    return keep
 
 
 def _at_least(c0: int, c1: int, c2: int, need: int) -> int:
@@ -231,7 +296,7 @@ def _rooted_minima(
             best[m] = mask_boundary(spec, segment)
             witness[m] = segment
 
-    roots = _root_candidates(spec)
+    keep = _orbit_minima(spec)
     steps = deepest = 0
     stale = True  # thr and limit are out of date with best
     stack = [(1, nbr[0], nbr[0] | 1, 1, degree, nbr[0], 0, 0)] if m_max > 1 else []
@@ -250,7 +315,7 @@ def _rooted_minima(
                 thr[j] = max(best[j + 1], thr[j + 1]) - degree + 2 * min(j, degree)
             limit = [max(pair) for pair in zip(best, thr)]
             stale = False
-        candidates = ext & roots if size == 1 else ext
+        candidates = keep.get(sub, ext)
         if size > deepest:
             deepest = size
         steps += candidates.bit_count()

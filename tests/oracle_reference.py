@@ -1,16 +1,21 @@
 """The oracle's searches and cut sampler as they were before their speed-ups.
 
 xi_sweep and ex_connected are the branch and bound loops extraconn.oracle
-ran before its searches expanded one vertex per root orbit and skipped
-candidates by neighbour count: every neighbour of vertex 0 is expanded, and
-every candidate is popped and tested one at a time. Neighbour masks are
-built from the edge definition in graph_reference, not taken from the
+ran before it skipped candidates by neighbour count: every candidate is
+popped and tested one at a time. Neighbour masks and the automorphism group
+are built from the edge definition in graph_reference, not taken from the
 package.
 
-Both also return their step count, one per candidate examined. With
-`roots` set to the package's root mask they expand only those neighbours
-of vertex 0, so the count filter of the package must then reproduce
-their traversal, witnesses and step count exactly.
+Both also return their step count, one per candidate examined. Without a
+group they expand every candidate. With `group`, a list of vertex
+permutations, each node keeps the elements of the whole group that fix
+every vertex of its set and map every exclusion set along its path (the
+candidates of each ancestor below the vertex taken next) onto itself, and
+expands the least candidate of each orbit of those; once that filter
+leaves only the identity, its descendants skip it. Given automorphisms(spec),
+the package's stabiliser table and count filter must then reproduce their
+traversal, witnesses and step count exactly. root_candidates is the
+root's orbit minima as they were first derived by hand.
 
 walk is the sampler's random walk before it drew its generators in
 batches and marked visits in a byte table: one generator per step, visits
@@ -20,6 +25,8 @@ marked in an int mask.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
+from itertools import permutations
 
 from graph_reference import neighbors
 
@@ -34,7 +41,61 @@ def members(mask: int) -> frozenset[int]:
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def xi_sweep(spec, m_max: int, roots: int = -1) -> tuple[list[tuple[int, frozenset[int]]], int]:
+@lru_cache(maxsize=None)
+def automorphisms(spec) -> tuple[tuple[int, ...], ...]:
+    """Every linear map that sends e_1..e_n to distinct neighbours of vertex
+    0 and maps every neighbourhood onto a neighbourhood, as vertex
+    permutations."""
+    count = spec.num_vertices
+    around = [neighbors(spec, v) for v in range(count)]
+    group = []
+    for images in permutations(sorted(around[0]), spec.n):
+        perm = []
+        for v in range(count):
+            image = 0
+            for j in range(spec.n):
+                if v >> j & 1:
+                    image ^= images[j]
+            perm.append(image)
+        if len(set(perm)) == count and all(
+            {perm[u] for u in around[v]} == around[perm[v]] for v in range(count)
+        ):
+            group.append(tuple(perm))
+    return tuple(group)
+
+
+def root_candidates(spec) -> int:
+    """Mask of one neighbour of 0 per root orbit, derived by hand: vertex 1,
+    and vertex 2^(n-k+1) when k >= 2. With p = n-k+1 and c = 2^p - 1,
+    e_1 + ... + e_p + c = 0, so any permutation of {e_1, ..., e_p, c} and
+    any of {e_(p+1), ..., e_n} extends to a linear automorphism."""
+    if spec.k is None or spec.k == 1:
+        return 0b10
+    return 0b10 | 1 << (1 << (spec.n - spec.k + 1))
+
+
+def _image(perm, mask: int) -> int:
+    return sum(1 << perm[v] for v in members(mask))
+
+
+def _expanded(group, sub: int, path, ext: int) -> tuple[int, tuple[int, ...] | None]:
+    """(mask of the candidates to expand, the path the node's children
+    carry): the least candidate of each orbit of the elements of `group`
+    that fix every vertex of sub and map every set of `path` onto itself.
+    A path of None skips the filter and expands every candidate, and a node
+    whose filter leaves at most the identity hands its children None."""
+    if path is None:
+        return ext, None
+    fixed = members(sub)
+    stabiliser = [
+        perm for perm in group
+        if all(perm[v] == v for v in fixed) and all(_image(perm, b) == b for b in path)
+    ]
+    kept = sum(1 << w for w in members(ext) if min(perm[w] for perm in stabiliser) == w)
+    return kept, None if len(stabiliser) <= 1 else path
+
+
+def xi_sweep(spec, m_max: int, group=None) -> tuple[list[tuple[int, frozenset[int]]], int]:
     """(minimum boundary, witness) for every 1 <= m <= m_max, grown from
     vertex 0, and the step count."""
     nbr = neighbor_masks(spec)
@@ -60,10 +121,12 @@ def xi_sweep(spec, m_max: int, roots: int = -1) -> tuple[list[tuple[int, frozens
 
     thr = thresholds()
     steps = 0
-    stack = [(1, nbr[0], nbr[0] | 1, 1, degree)] if m_max > 1 else []
+    root_path = None if group is None else ()
+    stack = [(1, nbr[0], nbr[0] | 1, 1, degree, root_path)] if m_max > 1 else []
     while stack:
-        sub, ext, seen, size, bound = stack.pop()
-        only = roots if size == 1 else -1
+        sub, ext, seen, size, bound, path = stack.pop()
+        only, path = _expanded(group, sub, path, ext)
+        candidates = ext
         grown_size = size + 1
         while ext:
             wbit = ext & -ext
@@ -79,11 +142,14 @@ def xi_sweep(spec, m_max: int, roots: int = -1) -> tuple[list[tuple[int, frozens
                 witness[grown_size] = grown
                 thr = thresholds()
             if grown_size < m_max and grown_bound < thr[grown_size]:
-                stack.append((grown, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_bound))
+                grown_path = None if path is None else path + (candidates & (wbit - 1),)
+                stack.append(
+                    (grown, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_bound, grown_path)
+                )
     return [(best[m], members(witness[m])) for m in range(1, m_max + 1)], steps
 
 
-def ex_connected(spec, m: int, roots: int = -1) -> tuple[int, int]:
+def ex_connected(spec, m: int, group=None) -> tuple[int, int]:
     """Twice the most induced edges over connected size-m sets containing
     vertex 0, and the step count."""
     nbr = neighbor_masks(spec)
@@ -94,10 +160,12 @@ def ex_connected(spec, m: int, roots: int = -1) -> tuple[int, int]:
     for j in range(m - 1, 0, -1):
         allowance[j] = allowance[j + 1] + 2 * min(j, degree)
     steps = 0
-    stack = [(1, nbr[0], nbr[0] | 1, 1, 0)] if m > 1 else []
+    root_path = None if group is None else ()
+    stack = [(1, nbr[0], nbr[0] | 1, 1, 0, root_path)] if m > 1 else []
     while stack:
-        sub, ext, seen, size, doubled = stack.pop()
-        only = roots if size == 1 else -1
+        sub, ext, seen, size, doubled, path = stack.pop()
+        only, path = _expanded(group, sub, path, ext)
+        candidates = ext
         grown_size = size + 1
         while ext:
             wbit = ext & -ext
@@ -111,8 +179,10 @@ def ex_connected(spec, m: int, roots: int = -1) -> tuple[int, int]:
                 if grown_doubled > top:
                     top = grown_doubled
             elif grown_doubled + allowance[grown_size] > top:
+                grown_path = None if path is None else path + (candidates & (wbit - 1),)
                 stack.append(
-                    (sub | wbit, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_doubled)
+                    (sub | wbit, ext | (wnbr & ~seen), seen | wnbr, grown_size, grown_doubled,
+                     grown_path)
                 )
     return top, steps
 

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 import re
 from itertools import chain, combinations, islice, repeat
@@ -27,7 +28,8 @@ from extraconn.oracle import (
     DEFAULT_EXTENSION_BUDGET,
     SAMPLE_RETRIES,
     _at_least,
-    _root_candidates,
+    _automorphisms,
+    _orbit_minima,
 )
 
 ALL_SPECS_UP_TO_4 = [GraphSpec(n, k) for n in range(2, 5) for k in (None, *range(1, n))]
@@ -141,12 +143,18 @@ def test_budget_overrun_reports_how_far_the_search_got():
     assert 0 < steps <= 500
     assert 2 < deepest < 8
     spec = GraphSpec(4, 2)
-    _, steps = oracle_reference.ex_connected(spec, 3, _root_candidates(spec))
-    # 2 candidates at the root {0}, then 4 and 8 at its two size-2 nodes
-    assert steps == 2 + 4 + 8
+    _, steps = oracle_reference.ex_connected(spec, 3, oracle_reference.automorphisms(spec))
+    # p = 3, c = 7: the group permutes {1, 2, 4, 7} and fixes 8 (24 maps).
+    # The root {0} expands 1 and 8, one per orbit. {0, 8} excludes 1, 2, 4
+    # and 7, which its whole group keeps setwise, and its candidates 9, 10,
+    # 12 and 15 are 8 plus each of them: one orbit, so one step. {0, 1} is
+    # fixed by the 6 maps permuting {2, 4, 7}; its candidates fall into
+    # orbits {2, 4, 7}, {8}, {3, 5, 6} and {9}, so 2, 3, 8 and 9, four steps
+    assert steps == 2 + 4 + 1
+    # {0, 8} is pushed last and popped first: the budget runs out at {0, 1}
     with pytest.raises(ResourceLimitError) as excinfo:
-        ex_bruteforce(spec, 3, budget=7)
-    assert _over_budget_report(excinfo) == (2 + 4, 2)
+        ex_bruteforce(spec, 3, budget=6)
+    assert _over_budget_report(excinfo) == (2 + 1, 2)
 
 
 def test_default_budget_answers():
@@ -165,9 +173,9 @@ def _check_against_reference(spec, m_max):
         assert ref.connected(spec, result.witness)
         assert ref.connected(spec, everything - result.witness)
         assert ref.boundary(spec, result.witness) == result.xi_exact
-    # the count filter skips only candidates that would fail: same witnesses
-    # and exactly the same step count as the per-candidate loop with the same roots
-    rooted, steps = oracle_reference.xi_sweep(spec, m_max, _root_candidates(spec))
+    # the stabiliser table and the count filter skip only what the group reference
+    # skips: same witnesses and exactly the same step count as its per-candidate loop
+    rooted, steps = oracle_reference.xi_sweep(spec, m_max, oracle_reference.automorphisms(spec))
     assert [(r.xi_exact, r.witness) for r in results] == rooted
     assert xi_bruteforce_sweep(spec, m_max, budget=steps) == results
     if steps:
@@ -180,7 +188,7 @@ def _check_ex_against_reference(spec, m):
     assert top == oracle_reference.ex_connected(spec, m)[0]
     # the package searches the smaller side, whose boundary is the same
     s = min(m, spec.num_vertices - m)
-    rooted, steps = oracle_reference.ex_connected(spec, s, _root_candidates(spec))
+    rooted, steps = oracle_reference.ex_connected(spec, s, oracle_reference.automorphisms(spec))
     assert rooted + spec.degree * (m - s) == top
     assert ex_bruteforce(spec, m, budget=steps) == top
     if steps:
@@ -234,6 +242,24 @@ def test_at_least_reads_count_planes(spec):
             assert _at_least(c0, c1, c2, need) == -1
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4 + N5_SPECS, ids=_spec_id)
+def test_automorphism_group(spec):
+    group = _automorphisms(spec)
+    assert set(group) == set(oracle_reference.automorphisms(spec))
+    p = spec.n if spec.k is None else spec.n - spec.k + 1
+    if spec.k is None:
+        size = math.factorial(spec.n)
+    elif spec.k == 1:
+        size = math.factorial(spec.n + 1)
+    else:
+        size = math.factorial(p + 1) * math.factorial(spec.n - p)
+    assert len(group) == len(set(group)) == size
+    generators = set(spec.generators)
+    for perm in group:
+        assert perm[0] == 0
+        assert {perm[g] for g in generators} == generators
+
+
 def _orbit_swap(spec, u):
     """(map, representative): the GF(2)-linear map swapping the neighbour u of
     vertex 0 with its orbit's representative, and that representative."""
@@ -260,8 +286,9 @@ def _orbit_swap(spec, u):
 
 @pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4 + N5_SPECS, ids=_spec_id)
 def test_root_orbit_symmetry(spec):
-    # every neighbour of 0 is mapped onto a root the searches expand by a linear
-    # automorphism that fixes 0 and keeps the first orbit, {e_1..e_p, c}, setwise
+    # every neighbour of 0 is mapped onto a hand-derived root by a linear
+    # automorphism that fixes 0 and keeps the first orbit, {e_1..e_p, c}, setwise;
+    # those roots are the orbit minima the searches expand at {0}
     p = spec.n if spec.k is None else spec.n - spec.k + 1
     generators = set(spec.generators)
     first_orbit = {1 << j for j in range(p)} | ({spec.complement_mask} if spec.k else set())
@@ -274,8 +301,10 @@ def test_root_orbit_symmetry(spec):
         assert {apply(g) for g in first_orbit} == first_orbit
         for v in range(spec.num_vertices):
             assert {apply(w) for w in ref.neighbors(spec, v)} == ref.neighbors(spec, apply(v))
+        assert tuple(map(apply, range(spec.num_vertices))) in _automorphisms(spec)
         representatives.add(representative)
-    roots = _root_candidates(spec)
+    roots = oracle_reference.root_candidates(spec)
+    assert _orbit_minima(spec)[1] == roots
     assert representatives == {v for v in range(spec.num_vertices) if roots >> v & 1}
     # a root's branch excludes the neighbours of 0 below it: nothing for
     # vertex 1, exactly the first orbit for vertex 2^p
