@@ -53,10 +53,10 @@ branch <= j, with the same size, boundary and connectivity on both sides.
 By induction on i every set of the subtree is matched so in the branch of
 an orbit's least candidate, so a node need only expand those, and the
 minima of xi_bruteforce_sweep and ex_bruteforce stay exact under the
-unchanged bound. _orbit_minima walks the tree once per graph, down to the
-nodes whose H is trivial, and keeps the surviving candidates as one mask
-per node where some are dropped; the root keeps vertex 1, plus 2^p when
-k >= 2.
+unchanged bound; the root keeps vertex 1, plus 2^p when k >= 2. Each stack
+entry carries its node's H (None once trivial), and _stabiliser_table keeps
+_orbit_entry(H, ext), the kept candidates and each child's H, by set mask
+from the node's first visit on: a query pays only for the nodes it reaches.
 
 Its bound: a vertex joining a size-j set has at most min(j, degree)
 neighbours in it, so it lowers the boundary by at most
@@ -93,7 +93,7 @@ bytearray, turned into a mask once per attempt by graphs.table_mask:
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -210,46 +210,38 @@ def _automorphisms(spec: GraphSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(group)
 
 
+def _orbit_entry(group: Sequence[tuple[int, ...]], ext: int) -> tuple[int, dict[int, list]]:
+    """(kept, children) at a node with stabiliser group and candidates ext: the least
+    candidate of each orbit, as a mask, and {w: the child's stabiliser} where not trivial."""
+    candidates = [v for v in range(ext.bit_length()) if ext >> v & 1]
+    kept = 0
+    children = {}
+    rest = ext
+    for i, w in enumerate(candidates):
+        if not rest >> w & 1:
+            continue
+        kept |= 1 << w
+        orbit = {sigma[w] for sigma in group}
+        for v in orbit:
+            rest &= ~(1 << v)
+        if len(orbit) == len(group):  # |stabiliser of w| = |group| / |orbit| = 1
+            continue
+        child = [sigma for sigma in group if sigma[w] == w]
+        if i:
+            # sigma permutes ext and fixes w, so it maps the candidates
+            # below w onto themselves iff none of the first i+1 goes above w.
+            # At n <= 5 this drops no map, but the proof needs it
+            below = itemgetter(*candidates[: i + 1])
+            child = [sigma for sigma in child if max(below(sigma)) == w]
+        if len(child) > 1:
+            children[w] = child
+    return kept, children
+
+
 @lru_cache(maxsize=None)
-def _orbit_minima(spec: GraphSpec) -> dict[int, int]:
-    """{set mask: mask of its candidates to expand} for every node of the
-    rooted search where its stabiliser drops a candidate, keeping the least
-    candidate of each orbit (see the module docstring). The walk follows the
-    canonical-extension tree from {0}, without the bound, down to the nodes
-    whose stabiliser is trivial."""
-    nbr = _neighbor_masks(spec)
-    keep = {}
-    stack = [(1, nbr[0], nbr[0] | 1, _automorphisms(spec))]
-    while stack:
-        sub, ext, seen, group = stack.pop()
-        candidates = [v for v in range(ext.bit_length()) if ext >> v & 1]
-        kept = 0
-        rest = ext
-        for i, w in enumerate(candidates):
-            if not rest >> w & 1:
-                continue
-            kept |= 1 << w
-            orbit = {sigma[w] for sigma in group}
-            for v in orbit:
-                rest &= ~(1 << v)
-            if len(orbit) == len(group):  # |stabiliser of w| = |group| / |orbit| = 1
-                continue
-            child = [sigma for sigma in group if sigma[w] == w]
-            if i:
-                # sigma permutes ext and fixes w, so it maps the candidates
-                # below w onto themselves iff none of the first i+1 goes above w.
-                # At n <= 5 this drops no map, but the proof needs it
-                below = itemgetter(*candidates[: i + 1])
-                child = [sigma for sigma in child if max(below(sigma)) == w]
-            if len(child) > 1:
-                wbit = 1 << w
-                wnbr = nbr[w]
-                stack.append(
-                    (sub | wbit, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, child)
-                )
-        if kept != ext:
-            keep[sub] = kept
-    return keep
+def _stabiliser_table(spec: GraphSpec) -> dict[int, tuple[int, dict[int, list]]]:
+    """{set mask: _orbit_entry of its node}, filled as the search first reaches it."""
+    return {}
 
 
 def _at_least(c0: int, c1: int, c2: int, need: int) -> int:
@@ -296,12 +288,14 @@ def _rooted_minima(
             best[m] = mask_boundary(spec, segment)
             witness[m] = segment
 
-    keep = _orbit_minima(spec)
+    table = _stabiliser_table(spec)
+    trivial: dict[int, list] = {}  # below a trivial stabiliser every one is trivial
     steps = deepest = 0
     stale = True  # thr and limit are out of date with best
-    stack = [(1, nbr[0], nbr[0] | 1, 1, degree, nbr[0], 0, 0)] if m_max > 1 else []
+    root = (1, nbr[0], nbr[0] | 1, 1, degree, nbr[0], 0, 0, _automorphisms(spec))
+    stack = [root] if m_max > 1 else []
     while stack:
-        sub, ext, seen, size, bound, c0, c1, c2 = stack.pop()
+        sub, ext, seen, size, bound, c0, c1, c2, group = stack.pop()
         if stale:
             # thr[j]: a size-j set with boundary >= thr[j] cannot improve any best[m'],
             # m' > j; limit[j]: nor best[j] itself. A node's children all have one
@@ -315,7 +309,11 @@ def _rooted_minima(
                 thr[j] = max(best[j + 1], thr[j + 1]) - degree + 2 * min(j, degree)
             limit = [max(pair) for pair in zip(best, thr)]
             stale = False
-        candidates = keep.get(sub, ext)
+        candidates, children = ext, trivial
+        if group is not None:
+            if sub not in table:
+                table[sub] = _orbit_entry(group, ext)
+            candidates, children = table[sub]
         if size > deepest:
             deepest = size
         steps += candidates.bit_count()
@@ -327,7 +325,8 @@ def _rooted_minima(
         while todo:
             wbit = todo & -todo
             todo ^= wbit
-            wnbr = nbr[wbit.bit_length() - 1]
+            w = wbit.bit_length() - 1
+            wnbr = nbr[w]
             grown_bound = bound + degree - 2 * (wnbr & sub).bit_count()
             grown = sub | wbit
             if grown_bound < best[grown_size] and (
@@ -340,7 +339,7 @@ def _rooted_minima(
                 carry = c0 & wnbr
                 stack.append((
                     grown, (ext & -(wbit << 1)) | (wnbr & ~seen), seen | wnbr, grown_size,
-                    grown_bound, c0 ^ wnbr, c1 ^ carry, c2 ^ (c1 & carry),
+                    grown_bound, c0 ^ wnbr, c1 ^ carry, c2 ^ (c1 & carry), children.get(w),
                 ))
     return best, witness
 

@@ -29,7 +29,8 @@ from extraconn.oracle import (
     SAMPLE_RETRIES,
     _at_least,
     _automorphisms,
-    _orbit_minima,
+    _orbit_entry,
+    _stabiliser_table,
 )
 
 ALL_SPECS_UP_TO_4 = [GraphSpec(n, k) for n in range(2, 5) for k in (None, *range(1, n))]
@@ -165,35 +166,48 @@ def test_default_budget_answers():
 
 def _check_against_reference(spec, m_max):
     everything = frozenset(range(spec.num_vertices))
-    results = xi_bruteforce_sweep(spec, m_max)
     want, _ = oracle_reference.xi_sweep(spec, m_max)
-    assert [r.xi_exact for r in results] == [value for value, _ in want]
-    for result in results:
-        assert len(result.witness) == result.m
-        assert ref.connected(spec, result.witness)
-        assert ref.connected(spec, everything - result.witness)
-        assert ref.boundary(spec, result.witness) == result.xi_exact
-    # the stabiliser table and the count filter skip only what the group reference
-    # skips: same witnesses and exactly the same step count as its per-candidate loop
     rooted, steps = oracle_reference.xi_sweep(spec, m_max, oracle_reference.automorphisms(spec))
-    assert [(r.xi_exact, r.witness) for r in results] == rooted
-    assert xi_bruteforce_sweep(spec, m_max, budget=steps) == results
-    if steps:
-        with pytest.raises(ResourceLimitError):
-            xi_bruteforce_sweep(spec, m_max, budget=steps - 1)
+    # first from an empty stabiliser table, then from one that ex_bruteforce's
+    # searches (split=False) filled: the entries do not depend on the search
+    for fill in ((), range(1, m_max + 1)):
+        _stabiliser_table.cache_clear()
+        for m in fill:
+            ex_bruteforce(spec, m)
+        results = xi_bruteforce_sweep(spec, m_max)
+        assert [r.xi_exact for r in results] == [value for value, _ in want]
+        for result in results:
+            assert len(result.witness) == result.m
+            assert ref.connected(spec, result.witness)
+            assert ref.connected(spec, everything - result.witness)
+            assert ref.boundary(spec, result.witness) == result.xi_exact
+        # the orbit entries, computed or read from the table, and the count filter skip
+        # only what the group reference skips: same witnesses and exactly the same step
+        # count as its per-candidate loop
+        assert [(r.xi_exact, r.witness) for r in results] == rooted
+        assert xi_bruteforce_sweep(spec, m_max, budget=steps) == results
+        if steps:
+            with pytest.raises(ResourceLimitError):
+                xi_bruteforce_sweep(spec, m_max, budget=steps - 1)
 
 
 def _check_ex_against_reference(spec, m):
-    top = ex_bruteforce(spec, m)
-    assert top == oracle_reference.ex_connected(spec, m)[0]
+    want = oracle_reference.ex_connected(spec, m)[0]
     # the package searches the smaller side, whose boundary is the same
     s = min(m, spec.num_vertices - m)
     rooted, steps = oracle_reference.ex_connected(spec, s, oracle_reference.automorphisms(spec))
-    assert rooted + spec.degree * (m - s) == top
-    assert ex_bruteforce(spec, m, budget=steps) == top
-    if steps:
-        with pytest.raises(ResourceLimitError):
-            ex_bruteforce(spec, m, budget=steps - 1)
+    assert rooted + spec.degree * (m - s) == want
+    # first from an empty stabiliser table, then from one that the sweep
+    # (split=True) filled
+    for fill in (0, max(s, 1)):
+        _stabiliser_table.cache_clear()
+        if fill:
+            xi_bruteforce_sweep(spec, fill)
+        assert ex_bruteforce(spec, m) == want
+        assert ex_bruteforce(spec, m, budget=steps) == want
+        if steps:
+            with pytest.raises(ResourceLimitError):
+                ex_bruteforce(spec, m, budget=steps - 1)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4, ids=_spec_id)
@@ -304,13 +318,32 @@ def test_root_orbit_symmetry(spec):
         assert tuple(map(apply, range(spec.num_vertices))) in _automorphisms(spec)
         representatives.add(representative)
     roots = oracle_reference.root_candidates(spec)
-    assert _orbit_minima(spec)[1] == roots
+    neighbours_of_0 = sum(1 << u for u in ref.neighbors(spec, 0))
+    assert _orbit_entry(_automorphisms(spec), neighbours_of_0)[0] == roots
     assert representatives == {v for v in range(spec.num_vertices) if roots >> v & 1}
     # a root's branch excludes the neighbours of 0 below it: nothing for
     # vertex 1, exactly the first orbit for vertex 2^p
     for representative in representatives:
         before = {g for g in generators if g < representative}
         assert before == (set() if representative == 1 else first_orbit)
+
+
+def test_orbit_entry_keeps_only_the_maps_fixing_the_candidates_below():
+    # on Q_4, sigma swaps bits 1 and 3 and fixes 5 = 0b0101, but it sends the
+    # candidate 2, below 5, to 8, above it: so it does not map B_5 = {2, 5}
+    # onto itself, and the child through 5 gets the trivial stabiliser
+    identity = tuple(range(16))
+    sigma = tuple(v & 0b0101 | (v >> 2 & 0b10) | (v << 2 & 0b1000) for v in range(16))
+    assert sorted(sigma[v] for v in (2, 5, 8)) == [2, 5, 8] and sigma[2] == 8
+    assert _orbit_entry((identity, sigma), 1 << 2 | 1 << 5 | 1 << 8) == (1 << 2 | 1 << 5, {})
+
+
+def test_cold_query_fills_only_the_nodes_it_reaches():
+    spec = GraphSpec(5, 2)
+    _stabiliser_table.cache_clear()
+    assert ex_bruteforce(spec, 3) == ex(spec, 3)
+    # a size-3 search pops only nodes of sizes 1 and 2, and fills only those
+    assert {sub.bit_count() for sub in _stabiliser_table(spec)} == {1, 2}
 
 
 def test_xi_bruteforce_examples():
