@@ -2,9 +2,11 @@
 
 ex_hypercube is Hart's identity: the segment {0, ..., m-1} induces one edge
 from each i to i - 2^b per set bit b of i, so ex_m(Q_n) = 2 * sum of
-popcount(i) over i < m. ex_enhanced adds the complementary-edge credit range
-by range, as the four-range piecewise definition states it. Neither shares
-code with extraconn.extremal. split_identity_check and ex_upper_bound_check
+popcount(i) over i < m. ex_hypercube sums it i by i, O(m); hart_count counts
+it bit by bit, O(n), for any n. complementary_credit is what the
+complementary edges add to ex_m(Q_{n,2}), range by range, as the four-range
+piecewise definition states it, and ex_enhanced adds it to ex_hypercube.
+None of them shares code with extraconn.extremal. split_identity_check and ex_upper_bound_check
 state two of the paper's lemmas against extraconn.ex, and ex_table feeds
 the superadditivity sweeps. Every helper refuses an out-of-range or non-int
 argument with DomainError.require, so a mis-sized sweep fails at once.
@@ -33,21 +35,37 @@ def ex_hypercube(n: int, m: int) -> int:
     return 2 * sum(i.bit_count() for i in range(m))
 
 
-def ex_enhanced(n: int, m: int) -> int:
-    """ex_m(Q_{n,2}) from the four-range piecewise definition."""
+def hart_count(n: int, m: int) -> int:
+    """ex_m(Q_n) by Hart's identity, O(n): bit b is set in 2^b of every
+    2^(b+1) consecutive integers, so [0, m) holds (m >> (b+1)) * 2^b of them
+    in whole periods and [m mod 2^(b+1) - 2^b]^+ in the last, partial one."""
+    DomainError.require(n, 0, MAX_DIMENSION, "n")
+    DomainError.require(m, 1, 1 << n, "m")
+    ones = 0
+    for b in range(n + 1):
+        ones += (m >> (b + 1) << b) + max(m % (2 << b) - (1 << b), 0)
+    return 2 * ones
+
+
+def complementary_credit(n: int, m: int) -> int:
+    """ex_m(Q_{n,2}) - ex_m(Q_n) from the four-range piecewise definition."""
     DomainError.require(n, 3, MAX_DIMENSION, "n")
     DomainError.require(m, 1, 1 << n, "m")
     half = 1 << (n - 1)
     quarter = 1 << (n - 2)
-    base = ex_hypercube(n, m)
     if m <= quarter:
-        return base
+        return 0
     if m <= half:
-        return base + 2 * m - half
+        return 2 * m - half
     x = m - half
     if x < quarter:
-        return base + half
-    return base + 2 * x
+        return half
+    return 2 * x
+
+
+def ex_enhanced(n: int, m: int) -> int:
+    """ex_m(Q_{n,2}) from the four-range piecewise definition."""
+    return ex_hypercube(n, m) + complementary_credit(n, m)
 
 
 def ex_table(n: int) -> np.ndarray:

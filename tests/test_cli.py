@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import cli_reference as ref
 import pytest
 from click.testing import CliRunner
 
-from extraconn import DomainError, GraphSpec, lambda_at, lambda_profile
+from extraconn import CutSample, DomainError, GraphSpec, VerificationError, lambda_at, lambda_profile, xi
 from extraconn import cli
 from extraconn.cli import main
 
@@ -338,6 +339,44 @@ def test_verify_sample(runner):
     )
     assert result.exit_code == 0
     assert result.output.strip() == "violations: 0"
+
+
+def test_verify_exact_mismatch_exit_3(runner, monkeypatch):
+    # xi_4(Q_{4,2}) = 12 lies above every later xi, so raising it by one
+    # fails that row alone and leaves every suffix minimum as it was
+    real = cli.xi_bruteforce_sweep
+
+    def off_by_one(*args, **kwargs):
+        return [replace(r, xi_exact=r.xi_exact + 1) if r.m == 4 else r for r in real(*args, **kwargs)]
+
+    monkeypatch.setattr(cli, "xi_bruteforce_sweep", off_by_one)
+    result = runner.invoke(main, ["verify", "--n", "4", "--family", "q2", "--mode", "exact"])
+    assert result.exit_code == 3
+    lines = result.output.splitlines()
+    assert [line for line in lines if line.endswith("FAIL")] == [
+        "m=4 xi_exact=13 xi=12 lambda_exact=8 lambda=8 FAIL"
+    ]
+    assert lines[-1] == "7/8 PASS"
+
+
+def test_verify_sample_violation_exit_3(runner, monkeypatch):
+    # one cut one edge below the xi lower bound
+    below = CutSample(h=2, cut_size=xi(GraphSpec(9, 2), 2) - 1, both_connected=True)
+    monkeypatch.setattr(cli, "sample_cuts", lambda *args, **kwargs: iter([below]))
+    result = runner.invoke(main, ["verify", "--n", "9", "--k", "2", "--mode", "sample"])
+    assert result.exit_code == 3
+    assert result.output.strip() == "violations: 1"
+
+
+def test_concentration_verification_failure_exit_3(runner, monkeypatch):
+    def fail(n):
+        raise VerificationError(f"lambda_59(Q_{{{n},2}}) = 255, expected 256", h=59)
+
+    monkeypatch.setattr(cli, "concentration_report", fail)
+    result = runner.invoke(main, ["concentration", "--n", "9"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "verification failure: lambda_59(Q_{9,2}) = 255, expected 256\n"
 
 
 def test_verify_sample_refuses_negative_seed(runner):

@@ -308,6 +308,34 @@ def test_concentration_report_raises_on_bad_values(monkeypatch):
     assert info.value.h == 59
 
 
+def test_concentration_report_names_a_missing_breakpoint(monkeypatch):
+    real = extraconn.concentration._minimizers
+    dropped = breakpoints(12).values[1]
+
+    def missing_one(*args):
+        return tuple(m for m in real(*args) if m != dropped)
+
+    monkeypatch.setattr(extraconn.concentration, "_minimizers", missing_one)
+    with pytest.raises(VerificationError, match="differs from breakpoints") as info:
+        concentration_report(12)
+    assert info.value.h == dropped
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_concentration_report_names_a_wrong_gap_below(monkeypatch, n):
+    real = extraconn.concentration.lambda_at
+    below = h_min(n) - 1
+
+    def skewed(family, h):
+        value = real(family, h)
+        return value - 1 if h == below else value
+
+    monkeypatch.setattr(extraconn.concentration, "lambda_at", skewed)
+    with pytest.raises(VerificationError, match=f"lambda_{below}") as info:
+        concentration_report(n)
+    assert info.value.h == below
+
+
 def _profile_report(n):
     """The former concentration_report, read off a full profile."""
     family = GraphSpec(n, 2)

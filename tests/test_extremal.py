@@ -4,10 +4,12 @@ import graph_reference
 import pytest
 from extremal_reference import (
     binary_decomposition,
+    complementary_credit,
     ex_enhanced,
     ex_hypercube,
     ex_table,
     ex_upper_bound_check,
+    hart_count,
     split_identity_check,
 )
 from graph_reference import lexicographic_set
@@ -72,6 +74,28 @@ def test_ex_enhanced_matches_piecewise_definition(n):
     for m in range(1, (1 << n) + 1):
         assert ex(plain, m) == ex_hypercube(n, m)
         assert ex(enhanced, m) == ex_enhanced(n, m)
+
+
+def test_hart_count_matches_hart_identity():
+    # neither reference depends on n beyond its range check, so n = 12
+    # covers every m <= 2^n for every n <= 12
+    for m in range(1, (1 << 12) + 1):
+        assert hart_count(12, m) == ex_hypercube(12, m)
+    assert [hart_count(n, 1 << n) for n in range(13)] == [n << n for n in range(13)]
+
+
+@pytest.mark.parametrize("n", range(10, 63))
+def test_ex_matches_hart_count_at_large_n(n):
+    # both halves of [1, 2^n], the range ends and the four ranges' ends
+    half, quarter = 1 << (n - 1), 1 << (n - 2)
+    rng = random.Random(n)
+    ms = [rng.randint(1, half) for _ in range(40)] + [rng.randint(half + 1, 2 * half) for _ in range(40)]
+    for end in (quarter, half, half + quarter):
+        ms += [end - 1, end, end + 1]
+    for m in ms + [2 * half - 1, 2 * half]:
+        hart = hart_count(n, m)
+        assert ex(GraphSpec(n), m) == hart, m
+        assert ex(GraphSpec(n, 2), m) == hart + complementary_credit(n, m), m
 
 
 @pytest.mark.parametrize("n", range(3, 11))
