@@ -11,7 +11,6 @@ stdout and --out get the same bytes.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import click
@@ -31,21 +30,6 @@ from .graphs import GraphSpec, adjacency_bitmap, pbm_text
 from .oracle import sample_cuts, xi_bruteforce_sweep
 
 _FAMILY_KINDS = {"qn": None, "fqn": 1, "q2": 2}
-
-
-def _handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except VerificationError as exc:
-            click.echo(f"verification failure: {exc}", err=True)
-            sys.exit(3)
-        except (DomainError, ResourceLimitError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
 
 
 def _resolve_k(family: str | None, k: int | None) -> int | None:
@@ -85,7 +69,21 @@ _k_option = click.option("--k", "k", type=int, default=None, help="Complement pa
 _out_option = click.option("--out", default="-", help="Output path ('-' for stdout).")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; its invoke is the one map from errors to exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except VerificationError as exc:
+            click.echo(f"verification failure: {exc}", err=True)
+            sys.exit(3)
+        except (DomainError, ResourceLimitError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main():
     """Edge-connectivity reliability profiles for hypercube-family networks."""
 
@@ -95,7 +93,6 @@ def main():
 @_family_option
 @_k_option
 @click.option("--m", "m", type=int, required=True, help="Subset cardinality.")
-@_handle_errors
 def xi_cmd(n, family, k, m):
     """Minimum boundary over size-m sets with both sides connected."""
     click.echo(str(xi(_graph_spec(n, family, k), m)))
@@ -106,7 +103,6 @@ def xi_cmd(n, family, k, m):
 @_family_option
 @_k_option
 @click.option("--m", "m", type=int, required=True, help="Subset cardinality.")
-@_handle_errors
 def ex_cmd(n, family, k, m):
     """Twice the maximum induced edge count over size-m sets."""
     click.echo(str(ex(_graph_spec(n, family, k), m)))
@@ -117,7 +113,6 @@ def ex_cmd(n, family, k, m):
 @_family_option
 @_k_option
 @click.option("--h", "h", type=int, required=True, help="Minimum component size.")
-@_handle_errors
 def lambda_cmd(n, family, k, h):
     """Minimum cut leaving two connected components of at least h vertices."""
     click.echo(str(lambda_at(_graph_spec(n, family, k), h)))
@@ -209,7 +204,6 @@ def _profile_chunks(profile, fmt: str):
 @_k_option
 @_out_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@_handle_errors
 def profile_cmd(n, family, k, out, fmt):
     """Full xi/lambda profile for 1 <= h <= 2^(n-1)."""
     profile = lambda_profile(_graph_spec(n, family, k))
@@ -218,7 +212,6 @@ def profile_cmd(n, family, k, out, fmt):
 
 @main.command("breakpoints")
 @_n_option
-@_handle_errors
 def breakpoints_cmd(n):
     """The h values where lambda is optimal inside the constant interval."""
     click.echo(" ".join(str(v) for v in breakpoints(n).values))
@@ -226,7 +219,6 @@ def breakpoints_cmd(n):
 
 @main.command("concentration")
 @_n_option
-@_handle_errors
 def concentration_cmd(n):
     """Verify and print the constant-lambda interval report (n >= 9)."""
     report = concentration_report(n)
@@ -242,7 +234,6 @@ def concentration_cmd(n):
 @click.option("--n-min", type=int, default=4, show_default=True)
 @click.option("--n-max", type=int, default=31, show_default=True)
 @_out_option
-@_handle_errors
 def ratio_cmd(n_min, n_max, out):
     """CSV of g(n) and the truncated percentage g(n)/2^(n-1)."""
     rows = ratio_table(n_min, n_max)
@@ -255,7 +246,6 @@ def ratio_cmd(n_min, n_max, out):
 @_family_option
 @_k_option
 @_out_option
-@_handle_errors
 def bitmap_cmd(n, family, k, out):
     """Adjacency matrix as a plain-text portable bitmap (P1)."""
     _write_output(out, [pbm_text(adjacency_bitmap(_graph_spec(n, family, k)))])
@@ -268,7 +258,6 @@ def bitmap_cmd(n, family, k, out):
 @click.option("--mode", type=click.Choice(["exact", "sample"]), default="exact", show_default=True)
 @click.option("--samples", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_handle_errors
 def verify_cmd(n, family, k, mode, samples, seed):
     """Check the closed forms against graph-level ground truth.
 

@@ -12,9 +12,10 @@ Only Q_n and Q_{n,2} have a closed form; lambda_profile and lambda_at
 refuse any other family once, after their range checks and before any
 work. A profile (n <= 26) fills every xi_m into one int64 array by xi's
 own dyadic block doublings and takes lambda as its suffix minima. A point
-query and the concentration report never touch single values of m: xi is
-a sum of weights over the set bits of m, so the minimum over an interval
-is read off O(n) aligned dyadic blocks in O(n^2) steps (n <= 62).
+query and the concentration report never touch single values of m: inside
+each run of extremal._runs, xi is a base plus one weight per set bit of m,
+so the minimum over an interval is read off O(n) aligned dyadic blocks in
+O(n^2) steps (n <= 62).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .extremal import _require_closed_form, _xi_profile, xi
+from .extremal import _free_minima, _require_closed_form, _runs, _weight, _xi, _xi_profile
 from .graphs import GraphSpec
 
 
@@ -75,34 +76,15 @@ def lambda_profile(family: GraphSpec) -> XiProfile:
     return XiProfile(family, xs, lambdas)
 
 
-def _weight(a: int, t: int, c: int) -> int:
-    """xi's share from set bit t of m below c higher set bits, at slope a."""
-    return (a - t - 2 * c) << t
-
-
-def _free_minima(a: int, bits: int) -> list[list[int]]:
-    """g[j][c]: the least total weight of free bits 0..j-1 below c set bits."""
-    g = [[0] * (bits + 2)]
-    for t in range(bits):
-        below = g[-1]
-        g.append([min(below[c], _weight(a, t, c) + below[c + 1]) for c in range(len(below) - 1)])
-    return g
-
-
 def _blocks(family: GraphSpec, lo: int, hi: int):
     """Cover [lo, hi] by aligned dyadic blocks [p, p + 2^j), ascending.
 
-    Yields (p, j, a, g). Inside a block xi_m is xi_p plus the weights of
-    the j low bits of m at slope a, and g = _free_minima(a, n). The slope
-    is the degree, less 2 on the part of Q_{n,2} above a quarter, where
-    the complementary edges add the constant 2^(n-1) and 2 per vertex.
+    Yields (p, j, a, g). Each block lies in one run of extremal._runs, a
+    its slope: inside the block xi_m is xi_p plus the weights of the j low
+    bits of m at slope a, and g = _free_minima(a, n).
     """
-    quarter = family.half >> 1
-    if family.k is None:
-        runs = [(lo, hi, family.degree)]
-    else:
-        runs = [(lo, min(hi, quarter), family.degree), (max(lo, quarter + 1), hi, family.degree - 2)]
-    for start, stop, a in runs:
+    for last, a, _ in _runs(family):
+        start, stop, lo = lo, min(hi, last), max(lo, last + 1)
         if start > stop:
             continue
         g = _free_minima(a, family.n)
@@ -116,7 +98,7 @@ def _blocks(family: GraphSpec, lo: int, hi: int):
 
 def _interval_min(family: GraphSpec, lo: int, hi: int) -> int:
     """min xi_m over lo <= m <= hi, one closed-form prefix per block."""
-    return min(xi(family, p) + g[j][p.bit_count()] for p, j, _, g in _blocks(family, lo, hi))
+    return min(_xi(family, p) + g[j][p.bit_count()] for p, j, _, g in _blocks(family, lo, hi))
 
 
 def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, ...]:
@@ -127,7 +109,7 @@ def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, 
     """
     found = []
     for p, free, a, g in _blocks(family, lo, hi):
-        stack = [(p, free, xi(family, p), p.bit_count())]
+        stack = [(p, free, _xi(family, p), p.bit_count())]
         while stack:
             m, j, cost, c = stack.pop()
             if cost + g[j][c] != target:
@@ -144,9 +126,8 @@ def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, 
 def lambda_at(family: GraphSpec, h: int) -> int:
     """lambda_h = min xi_m over h <= m <= 2^(n-1), in O(n^2) for any n <= 62.
 
-    Bit t of m below c higher set bits weighs (d - t - 2c)*2^t in xi_m (d
-    the degree, less 2 above a quarter on Q_{n,2}); the interval splits into
-    O(n) aligned dyadic blocks, each read off its fixed high bits plus
+    The interval splits into O(n) aligned dyadic blocks, each inside one
+    run of extremal._runs and read off its fixed high bits plus
     _free_minima's least weight of its free low bits.
     """
     DomainError.require(h, 1, family.half, "h")

@@ -398,12 +398,11 @@ def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]
     64*degree*target times first is abandoned; up to SAMPLE_RETRIES
     regrowths are attempted before the sample is skipped. The generators
     are drawn in batches by random.choices and visits are marked in a byte
-    table (see the module docstring); batches leave their unused draws
-    behind, so the stream for a given seed differs from the one-draw-a-step
-    walk's. The generator is random.Random (Mersenne Twister), and choices
-    takes floor(random() * len), so a fixed seed replays the identical
-    stream on any platform. The seed is an int >= 0 (random.Random seeds by
-    absolute value, so a negative seed would replay its mirror).
+    table (see the module docstring). The generator is random.Random
+    (Mersenne Twister), and choices takes floor(random() * len), so a fixed
+    seed replays the identical stream on any platform. The seed is an
+    int >= 0 (random.Random seeds by absolute value, so a negative seed
+    would replay its mirror).
     """
     DomainError.require(spec.n, 2, MAX_SAMPLING_DIMENSION, "n")
     DomainError.require(samples, 0, None, "samples")

@@ -6,10 +6,11 @@ popcount(i) over i < m. ex_hypercube sums it i by i, O(m); hart_count counts
 it bit by bit, O(n), for any n. complementary_credit is what the
 complementary edges add to ex_m(Q_{n,2}), range by range, as the four-range
 piecewise definition states it, and ex_enhanced adds it to ex_hypercube.
-None of them shares code with extraconn.extremal. split_identity_check and ex_upper_bound_check
-state two of the paper's lemmas against extraconn.ex, and ex_table feeds
-the superadditivity sweeps. Every helper refuses an out-of-range or non-int
-argument with DomainError.require, so a mis-sized sweep fails at once.
+None of them shares code with extraconn.extremal. split_identity_check and
+ex_upper_bound_check state two of the paper's lemmas against extraconn.ex,
+and ex_table feeds the superadditivity sweeps. Every helper refuses an
+out-of-range or non-int argument with DomainError.require, so a mis-sized
+sweep fails at once.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,15 @@ import cli_reference as ref
 import pytest
 from click.testing import CliRunner
 
-from extraconn import CutSample, DomainError, GraphSpec, VerificationError, lambda_at, lambda_profile, xi
+from extraconn import (
+    CutSample,
+    DomainError,
+    GraphSpec,
+    VerificationError,
+    lambda_at,
+    lambda_profile,
+    xi,
+)
 from extraconn import cli
 from extraconn.cli import main
 
@@ -347,7 +356,8 @@ def test_verify_exact_mismatch_exit_3(runner, monkeypatch):
     real = cli.xi_bruteforce_sweep
 
     def off_by_one(*args, **kwargs):
-        return [replace(r, xi_exact=r.xi_exact + 1) if r.m == 4 else r for r in real(*args, **kwargs)]
+        results = real(*args, **kwargs)
+        return [replace(r, xi_exact=r.xi_exact + 1) if r.m == 4 else r for r in results]
 
     monkeypatch.setattr(cli, "xi_bruteforce_sweep", off_by_one)
     result = runner.invoke(main, ["verify", "--n", "4", "--family", "q2", "--mode", "exact"])
@@ -368,12 +378,14 @@ def test_verify_sample_violation_exit_3(runner, monkeypatch):
     assert result.output.strip() == "violations: 1"
 
 
-def test_concentration_verification_failure_exit_3(runner, monkeypatch):
+def test_concentration_verification_failure_exit_3(monkeypatch):
     def fail(n):
         raise VerificationError(f"lambda_59(Q_{{{n},2}}) = 255, expected 256", h=59)
 
     monkeypatch.setattr(cli, "concentration_report", fail)
-    result = runner.invoke(main, ["concentration", "--n", "9"])
+    # click >= 8.2 keeps stderr apart by default; older versions need mix_stderr=False
+    apart = {"mix_stderr": False} if "mix_stderr" in inspect.signature(CliRunner).parameters else {}
+    result = CliRunner(**apart).invoke(main, ["concentration", "--n", "9"])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "verification failure: lambda_59(Q_{9,2}) = 255, expected 256\n"
