@@ -118,11 +118,6 @@ def lambda_cmd(n, family, k, h):
     click.echo(str(lambda_at(_graph_spec(n, family, k), h)))
 
 
-def _profile_rows(profile):
-    """(h, xi_h, lambda_h) for every 1 <= h <= 2^(n-1), as Python ints."""
-    return zip(range(1, profile.half + 1), profile.xi_values.tolist(), profile.lambda_values.tolist())
-
-
 # Rows per text block: a block's matrix is a few MiB whatever the profile size.
 BLOCK_ROWS = 1 << 15
 
@@ -272,11 +267,12 @@ def verify_cmd(n, family, k, mode, samples, seed):
         suffix = suffix_minima([r.xi_exact for r in results]).tolist()
         profile = lambda_profile(spec)
         passed = 0
-        for (m, x, lam), result, lam_exact in zip(_profile_rows(profile), results, suffix):
+        xs, lams = profile.xi_values.tolist(), profile.lambda_values.tolist()
+        for result, x, lam, lam_exact in zip(results, xs, lams, suffix):
             ok = result.xi_exact == x and lam_exact == lam
             passed += ok
             click.echo(
-                f"m={m} xi_exact={result.xi_exact} xi={x} "
+                f"m={result.m} xi_exact={result.xi_exact} xi={x} "
                 f"lambda_exact={lam_exact} lambda={lam} "
                 f"{'PASS' if ok else 'FAIL'}"
             )

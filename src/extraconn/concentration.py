@@ -12,10 +12,8 @@ Only Q_n and Q_{n,2} have a closed form; lambda_profile and lambda_at
 refuse any other family once, after their range checks and before any
 work. A profile (n <= 26) fills every xi_m into one int64 array by xi's
 own dyadic block doublings and takes lambda as its suffix minima. A point
-query and the concentration report never touch single values of m: inside
-each run of extremal._runs, xi is a base plus one weight per set bit of m,
-so the minimum over an interval is read off O(n) aligned dyadic blocks in
-O(n^2) steps (n <= 62).
+query and the concentration report ask extremal for the minimum of xi over
+an interval and for its argmins, in O(n^2) steps for any n <= 62.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .extremal import _free_minima, _require_closed_form, _runs, _weight, _xi, _xi_profile
+from .extremal import _interval_min, _minimizers, _require_closed_form, _xi_profile
 from .graphs import GraphSpec
 
 
@@ -76,60 +74,9 @@ def lambda_profile(family: GraphSpec) -> XiProfile:
     return XiProfile(family, xs, lambdas)
 
 
-def _blocks(family: GraphSpec, lo: int, hi: int):
-    """Cover [lo, hi] by aligned dyadic blocks [p, p + 2^j), ascending.
-
-    Yields (p, j, a, g). Each block lies in one run of extremal._runs, a
-    its slope: inside the block xi_m is xi_p plus the weights of the j low
-    bits of m at slope a, and g = _free_minima(a, n).
-    """
-    for last, a, _ in _runs(family):
-        start, stop, lo = lo, min(hi, last), max(lo, last + 1)
-        if start > stop:
-            continue
-        g = _free_minima(a, family.n)
-        while start <= stop:
-            j = (start & -start).bit_length() - 1
-            while start + (1 << j) - 1 > stop:
-                j -= 1
-            yield start, j, a, g
-            start += 1 << j
-
-
-def _interval_min(family: GraphSpec, lo: int, hi: int) -> int:
-    """min xi_m over lo <= m <= hi, one closed-form prefix per block."""
-    return min(_xi(family, p) + g[j][p.bit_count()] for p, j, _, g in _blocks(family, lo, hi))
-
-
-def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, ...]:
-    """The m in [lo, hi] with xi_m = target, ascending; target is the minimum.
-
-    A depth-first walk fixes the free bits of each block from the top and
-    only enters a branch whose cost plus g can still equal the target.
-    """
-    found = []
-    for p, free, a, g in _blocks(family, lo, hi):
-        stack = [(p, free, _xi(family, p), p.bit_count())]
-        while stack:
-            m, j, cost, c = stack.pop()
-            if cost + g[j][c] != target:
-                continue
-            if j == 0:
-                found.append(m)
-                continue
-            t = j - 1
-            stack.append((m | 1 << t, t, cost + _weight(a, t, c), c + 1))
-            stack.append((m, t, cost, c))
-    return tuple(found)
-
-
 def lambda_at(family: GraphSpec, h: int) -> int:
-    """lambda_h = min xi_m over h <= m <= 2^(n-1), in O(n^2) for any n <= 62.
-
-    The interval splits into O(n) aligned dyadic blocks, each inside one
-    run of extremal._runs and read off its fixed high bits plus
-    _free_minima's least weight of its free low bits.
-    """
+    """lambda_h = min xi_m over h <= m <= 2^(n-1), in O(n^2) for any n <= 62,
+    read off O(n) aligned dyadic blocks by extremal._interval_min."""
     DomainError.require(h, 1, family.half, "h")
     _require_closed_form(family)
     return _interval_min(family, h, family.half)

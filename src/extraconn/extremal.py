@@ -6,15 +6,21 @@ the minimum boundary over size-m sets with both sides connected equal to
 xi_m = degree*m - ex_m. _xi is the one body of that form, for m up to half
 the vertices: a base plus one _weight per set bit of m, at the slope of the
 run of _runs that holds m. A set and its complement have the same boundary,
-so ex above half is degree*m - _xi(2^n - m), with no second formula.
-_free_minima tabulates the least weight of a run's free low bits, from
-which concentration reads interval minima. ex and xi are the two entry
-points; each checks its arguments once and calls _xi.
+so ex above half is degree*m - _xi(2^n - m), with no second formula. ex and
+xi are the two entry points; each checks its arguments once and calls _xi.
 _require_closed_form is the one family check, which the profile and lambda
 entry points also call before any work. _xi_profile (unchecked) fills
 xi_0..xi_{2^(n-1)} into one int64 array for profiles by xi's own block
-doublings. All arithmetic is exact: values reach the 2^(n+6) scale and no
-floating point is used.
+doublings. It states the split of Q_{n,2}'s runs a second time, as its ex
+credit subtracted from m = 2^(n-2) on; test_profile_matches_scalar_closed_form
+pins it to _xi for n <= 16. All arithmetic is exact: values reach the
+2^(n+6) scale and no floating point is used.
+
+_interval_min and _minimizers (unchecked) give the minimum of xi over
+[lo, hi] and the m that attain it, without touching single values of m:
+_blocks covers the interval by O(n) aligned dyadic blocks, each inside one
+run, and _free_minima tabulates the least weight of a block's free low
+bits, so either takes O(n^2) steps (n <= 62).
 """
 
 from __future__ import annotations
@@ -91,6 +97,53 @@ def _xi_profile(spec: GraphSpec) -> np.ndarray:
     if spec.k is not None:
         out[half >> 1 :] -= ramp
     return out
+
+
+def _blocks(family: GraphSpec, lo: int, hi: int):
+    """Cover [lo, hi] by aligned dyadic blocks [p, p + 2^j), ascending.
+
+    Yields (p, j, a, g). Each block lies in one run of _runs, a its
+    slope: inside the block xi_m is xi_p plus the weights of the j low bits
+    of m at slope a, and g = _free_minima(a, n).
+    """
+    for last, a, _ in _runs(family):
+        start, stop, lo = lo, min(hi, last), max(lo, last + 1)
+        if start > stop:
+            continue
+        g = _free_minima(a, family.n)
+        while start <= stop:
+            j = (start & -start).bit_length() - 1
+            while start + (1 << j) - 1 > stop:
+                j -= 1
+            yield start, j, a, g
+            start += 1 << j
+
+
+def _interval_min(family: GraphSpec, lo: int, hi: int) -> int:
+    """min xi_m over lo <= m <= hi, one closed-form prefix per block."""
+    return min(_xi(family, p) + g[j][p.bit_count()] for p, j, _, g in _blocks(family, lo, hi))
+
+
+def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, ...]:
+    """The m in [lo, hi] with xi_m = target, ascending; target is the minimum.
+
+    A depth-first walk fixes the free bits of each block from the top and
+    only enters a branch whose cost plus g can still equal the target.
+    """
+    found = []
+    for p, free, a, g in _blocks(family, lo, hi):
+        stack = [(p, free, _xi(family, p), p.bit_count())]
+        while stack:
+            m, j, cost, c = stack.pop()
+            if cost + g[j][c] != target:
+                continue
+            if j == 0:
+                found.append(m)
+                continue
+            t = j - 1
+            stack.append((m | 1 << t, t, cost + _weight(a, t, c), c + 1))
+            stack.append((m, t, cost, c))
+    return tuple(found)
 
 
 def ex(spec: GraphSpec, m: int) -> int:

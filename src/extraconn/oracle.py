@@ -273,7 +273,8 @@ def _rooted_minima(
     complement must be connected too when split is set. Arguments are not
     checked. Sizes below m_lo hold -infinity, so they never improve and add
     nothing to the thresholds. Incumbents start from the lexicographic
-    segments, counted directly in the graph.
+    segments, counted directly in the graph. Only that seed answers a size
+    m <= 1: the root {0} is never grown again.
     """
     nbr = _neighbor_masks(spec)
     degree = spec.degree

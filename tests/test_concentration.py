@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import extraconn.concentration
+import extraconn.extremal
 from extraconn import (
     ConcentrationReport,
     DomainError,
@@ -288,9 +289,9 @@ def test_interval_helpers_match_scan(n, k):
     for _ in range(40):
         lo, hi = sorted(rng.randint(1, family.half) for _ in range(2))
         low = min(values[lo - 1 : hi])
-        assert extraconn.concentration._interval_min(family, lo, hi) == low, (lo, hi)
+        assert extraconn.extremal._interval_min(family, lo, hi) == low, (lo, hi)
         at = tuple(m for m in range(lo, hi + 1) if values[m - 1] == low)
-        assert extraconn.concentration._minimizers(family, lo, hi, low) == at, (lo, hi)
+        assert extraconn.extremal._minimizers(family, lo, hi, low) == at, (lo, hi)
 
 
 def test_concentration_report_raises_on_bad_values(monkeypatch):

@@ -366,6 +366,34 @@ def test_xi_bruteforce_witness_revalidates():
             assert ref.boundary(spec, result.witness) == result.xi_exact
 
 
+def test_search_improves_on_a_seed_above_the_minimum(monkeypatch):
+    # The segment seeds are optimal for every graph here, so the search never
+    # replaces one. Seeding every incumbent 2 above the segment's boundary makes
+    # the search find each minimum and its witness itself. Searched size
+    # s = min(m, 2^n - m) <= 1 is left out: only the seed answers it, since the
+    # root {0} is never grown again.
+    cases = [(spec, spec.half) for spec in ALL_SPECS_UP_TO_4]
+    cases += [(GraphSpec(5, k), 8) for k in (None, 2)]
+    ex_sizes = {spec: range(2, 9 if spec.n == 5 else spec.num_vertices - 1) for spec, _ in cases}
+    sweeps = {spec: xi_bruteforce_sweep(spec, m_max)[1:] for spec, m_max in cases}
+    exs = {spec: [ex_bruteforce(spec, m) for m in ex_sizes[spec]] for spec, _ in cases}
+    real = oracle.mask_boundary
+    monkeypatch.setattr(oracle, "mask_boundary", lambda spec, mask: real(spec, mask) + 2)
+    off_segment = 0
+    for spec, m_max in cases:
+        results = xi_bruteforce_sweep(spec, m_max)[1:]
+        assert [r.xi_exact for r in results] == [r.xi_exact for r in sweeps[spec]], spec
+        assert [ex_bruteforce(spec, m) for m in ex_sizes[spec]] == exs[spec], spec
+        everything = frozenset(range(spec.num_vertices))
+        for result in results:
+            assert len(result.witness) == result.m
+            assert ref.connected(spec, result.witness)
+            assert ref.connected(spec, everything - result.witness)
+            assert ref.boundary(spec, result.witness) == result.xi_exact
+            off_segment += result.witness != ref.lexicographic_set(spec.n, result.m)
+    assert off_segment
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_oracle_matches_formula_plain(n):
     spec = GraphSpec(n)
