@@ -20,7 +20,10 @@ Subsets are carried as integer bit masks (bit v set means vertex v is
 in), which keeps the inner loops at a few machine-word operations per
 step. Boundaries and connectivity come from graphs.mask_boundary and
 graphs.mask_connected; only the searches' per-vertex extension step reads
-a 2^n table of neighbour masks.
+a 2^n table of neighbour masks. enumerate_connected_subsets hands out
+frozensets, so it carries the set's members as a tuple, in the order they
+were taken, beside its ext and seen masks: each yielded set is built from
+that tuple and the last vertex, not decoded from a mask bit by bit.
 
 Connected sets are grown by canonical extension: candidate vertices
 removed at one branching level stay excluded from the whole subtree, so
@@ -175,9 +178,10 @@ def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozens
             yield frozenset((v,))
             continue
         above = -(1 << (v + 1))
-        stack = [(1 << v, nbr[v] & above, nbr[v] | (1 << v), 1)]
+        stack = [((v,), nbr[v] & above, nbr[v] | (1 << v))]
         while stack:
-            sub, ext, seen, size = stack.pop()
+            members, ext, seen = stack.pop()
+            size = len(members)
             if size > deepest:
                 deepest = size
             while ext:
@@ -186,12 +190,13 @@ def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozens
                 steps += 1
                 if steps > budget:
                     raise _over_budget(budget, steps - 1, deepest)
-                grown = sub | wbit
+                w = wbit.bit_length() - 1
+                grown = members + (w,)
                 if size + 1 == m:
-                    yield _members(grown)
+                    yield frozenset(grown)
                 else:
-                    wnbr = nbr[wbit.bit_length() - 1]
-                    stack.append((grown, ext | (wnbr & ~seen & above), seen | wnbr, size + 1))
+                    wnbr = nbr[w]
+                    stack.append((grown, ext | (wnbr & ~seen & above), seen | wnbr))
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,12 @@ the package's stabiliser table and count filter must then reproduce their
 traversal, witnesses and step count exactly. root_candidates is the
 root's orbit minima as they were first derived by hand.
 
+connected_subsets is enumerate_connected_subsets before it carried each
+set's members down its stack: every stack entry holds the set as a mask,
+and every yielded set is decoded from it one bit at a time. The package
+must yield the same sets in the same order and raise the same budget error
+at the same step.
+
 walk is the sampler's random walk before it drew its generators in
 batches and marked visits in a byte table: one generator per step, visits
 marked in an int mask.
@@ -30,6 +36,7 @@ from itertools import permutations
 
 from graph_reference import neighbors
 
+from extraconn.errors import ResourceLimitError
 from extraconn.graphs import mask_boundary, mask_connected
 
 
@@ -185,6 +192,38 @@ def ex_connected(spec, m: int, group=None) -> tuple[int, int]:
                      grown_path)
                 )
     return top, steps
+
+
+def connected_subsets(spec, m: int, budget: int) -> Iterator[frozenset[int]]:
+    """Every connected size-m set, grown by canonical extension from its
+    least vertex, with one step per candidate and ResourceLimitError once
+    the budget is spent."""
+    nbr = neighbor_masks(spec)
+    steps = deepest = 0
+    for v in range(spec.num_vertices):
+        if m == 1:
+            yield frozenset((v,))
+            continue
+        above = -(1 << (v + 1))
+        stack = [(1 << v, nbr[v] & above, nbr[v] | (1 << v), 1)]
+        while stack:
+            sub, ext, seen, size = stack.pop()
+            deepest = max(deepest, size)
+            while ext:
+                wbit = ext & -ext
+                ext ^= wbit
+                steps += 1
+                if steps > budget:
+                    raise ResourceLimitError(
+                        f"search exceeded the {budget} extension-step budget"
+                        f" after {steps - 1} steps, with sets of up to {deepest} vertices grown"
+                    )
+                grown = sub | wbit
+                if size + 1 == m:
+                    yield members(grown)
+                else:
+                    wnbr = nbr[wbit.bit_length() - 1]
+                    stack.append((grown, ext | (wnbr & ~seen & above), seen | wnbr, size + 1))
 
 
 def walk(start: int, target: int, steps: Iterator[int], stall_cap: int) -> int | None:

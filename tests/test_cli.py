@@ -369,13 +369,28 @@ def test_verify_exact_mismatch_exit_3(runner, monkeypatch):
     assert lines[-1] == "7/8 PASS"
 
 
-def test_verify_sample_violation_exit_3(runner, monkeypatch):
-    # one cut one edge below the xi lower bound
-    below = CutSample(h=2, cut_size=xi(GraphSpec(9, 2), 2) - 1, both_connected=True)
-    monkeypatch.setattr(cli, "sample_cuts", lambda *args, **kwargs: iter([below]))
-    result = runner.invoke(main, ["verify", "--n", "9", "--k", "2", "--mode", "sample"])
+def _apart_runner():
+    # click >= 8.2 keeps stderr apart by default; older versions need mix_stderr=False
+    apart = {"mix_stderr": False} if "mix_stderr" in inspect.signature(CliRunner).parameters else {}
+    return CliRunner(**apart)
+
+
+def test_verify_sample_violation_exit_3(monkeypatch):
+    # a passing cut, then two cuts below the xi lower bound: stderr names the first
+    spec = GraphSpec(9, 2)
+    cuts = [
+        CutSample(h=3, cut_size=xi(spec, 3), both_connected=True),
+        CutSample(h=2, cut_size=xi(spec, 2) - 1, both_connected=True),
+        CutSample(h=4, cut_size=xi(spec, 4) - 2, both_connected=True),
+    ]
+    monkeypatch.setattr(cli, "sample_cuts", lambda *args, **kwargs: iter(cuts))
+    result = _apart_runner().invoke(main, ["verify", "--n", "9", "--k", "2", "--mode", "sample"])
     assert result.exit_code == 3
-    assert result.output.strip() == "violations: 1"
+    assert result.stdout == "violations: 2\n"
+    assert result.stderr == (
+        f"verification failure: first violating cut: h=2 cut_size={xi(spec, 2) - 1}"
+        f" xi={xi(spec, 2)}\n"
+    )
 
 
 def test_concentration_verification_failure_exit_3(monkeypatch):
@@ -383,9 +398,7 @@ def test_concentration_verification_failure_exit_3(monkeypatch):
         raise VerificationError(f"lambda_59(Q_{{{n},2}}) = 255, expected 256", h=59)
 
     monkeypatch.setattr(cli, "concentration_report", fail)
-    # click >= 8.2 keeps stderr apart by default; older versions need mix_stderr=False
-    apart = {"mix_stderr": False} if "mix_stderr" in inspect.signature(CliRunner).parameters else {}
-    result = CliRunner(**apart).invoke(main, ["concentration", "--n", "9"])
+    result = _apart_runner().invoke(main, ["concentration", "--n", "9"])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "verification failure: lambda_59(Q_{9,2}) = 255, expected 256\n"

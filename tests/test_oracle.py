@@ -17,7 +17,6 @@ from extraconn import (
     enumerate_connected_subsets,
     ex,
     ex_bruteforce,
-    is_connected_subset,
     lambda_profile,
     sample_cuts,
     xi,
@@ -50,20 +49,49 @@ def test_enumerate_counts():
 
 @pytest.mark.parametrize("m", range(1, 6))
 def test_enumerate_yields_each_connected_set_once(m):
+    for k in (None, 1, 2, 3):
+        spec = GraphSpec(4, k)
+        seen = set()
+        for members in enumerate_connected_subsets(spec, m):
+            assert len(members) == m, spec
+            assert ref.connected(spec, members), spec
+            assert members not in seen, spec
+            seen.add(members)
+        # cross-count against a direct sweep of all subsets
+        expected = sum(1 for combo in combinations(range(16), m) if ref.connected(spec, combo))
+        assert len(seen) == expected, spec
+
+
+def _enumeration_run(sets) -> tuple[list[frozenset[int]], str | None]:
+    """The sets an enumeration yields, in order, and its budget error or None."""
+    out = []
+    try:
+        for members in sets:
+            out.append(members)
+    except ResourceLimitError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize(
+    "spec, m_max",
+    [(spec, spec.num_vertices) for spec in ALL_SPECS_UP_TO_4]
+    + [(GraphSpec(5, k), 5) for k in (None, 1, 2)],
+    ids=lambda value: _spec_id(value) if isinstance(value, GraphSpec) else f"m{value}",
+)
+def test_enumerate_matches_mask_reference(spec, m_max):
+    # the same frozensets in the same order as the mask-and-decode enumeration
+    for m in range(1, m_max + 1):
+        want = list(oracle_reference.connected_subsets(spec, m, DEFAULT_EXTENSION_BUDGET))
+        assert list(enumerate_connected_subsets(spec, m)) == want
+
+
+def test_enumerate_budget_matches_mask_reference():
     spec = GraphSpec(4, 2)
-    seen = set()
-    for members in enumerate_connected_subsets(spec, m):
-        assert len(members) == m
-        assert is_connected_subset(spec, members)
-        assert members not in seen
-        seen.add(members)
-    # cross-count against a direct sweep of all subsets
-    expected = sum(
-        1
-        for combo in combinations(range(16), m)
-        if is_connected_subset(spec, frozenset(combo))
-    )
-    assert len(seen) == expected
+    for budget in range(61):
+        want = _enumeration_run(oracle_reference.connected_subsets(spec, 5, budget))
+        assert want[1] is not None  # every budget here runs out
+        assert _enumeration_run(enumerate_connected_subsets(spec, 5, budget)) == want
 
 
 def test_enumerate_rejects_large_dimension():
