@@ -256,7 +256,8 @@ def bitmap_cmd(n, family, k, out):
 def verify_cmd(n, family, k, mode, samples, seed):
     """Check the closed forms against graph-level ground truth.
 
-    exact: exhaustive minima for every m (n <= 5). sample: seeded random
+    exact: exhaustive minima for every m (n <= 5); on a failure, stderr
+    names the first failing row and its witness set. sample: seeded random
     cuts checked against the xi lower bound (n <= 12); on a violation,
     stderr names the first violating cut.
     """
@@ -267,19 +268,23 @@ def verify_cmd(n, family, k, mode, samples, seed):
         results = xi_bruteforce_sweep(spec, half)
         suffix = suffix_minima([r.xi_exact for r in results]).tolist()
         profile = lambda_profile(spec)
-        passed = 0
+        failed = []
         xs, lams = profile.xi_values.tolist(), profile.lambda_values.tolist()
         for result, x, lam, lam_exact in zip(results, xs, lams, suffix):
-            ok = result.xi_exact == x and lam_exact == lam
-            passed += ok
-            click.echo(
+            row = (
                 f"m={result.m} xi_exact={result.xi_exact} xi={x} "
-                f"lambda_exact={lam_exact} lambda={lam} "
-                f"{'PASS' if ok else 'FAIL'}"
+                f"lambda_exact={lam_exact} lambda={lam}"
             )
-        click.echo(f"{passed}/{half} PASS")
-        if passed != half:
-            sys.exit(3)
+            ok = result.xi_exact == x and lam_exact == lam
+            if not ok:
+                failed.append((result, row))
+            click.echo(f"{row} {'PASS' if ok else 'FAIL'}")
+        click.echo(f"{half - len(failed)}/{half} PASS")
+        if failed:
+            result, row = failed[0]
+            raise VerificationError(
+                f"first failing row: {row} witness={sorted(result.witness)}", h=result.m
+            )
     else:
         violating = [
             (cut, bound)

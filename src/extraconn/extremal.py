@@ -20,10 +20,13 @@ _interval_min and _minimizers (unchecked) give the minimum of xi over
 [lo, hi] and the m that attain it, without touching single values of m:
 _blocks covers the interval by O(n) aligned dyadic blocks, each inside one
 run, and _free_minima tabulates the least weight of a block's free low
-bits, so either takes O(n^2) steps (n <= 62).
+bits, so either takes O(n^2) steps (n <= 62); the table is built once per
+slope and n and then read from a cache.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,13 +46,20 @@ def _weight(a: int, t: int, c: int) -> int:
     return (a - t - 2 * c) << t
 
 
-def _free_minima(a: int, bits: int) -> list[list[int]]:
-    """g[j][c]: the least total weight of free bits 0..j-1 below c set bits, at slope a."""
-    g = [[0] * (bits + 2)]
+@lru_cache(maxsize=64)
+def _free_minima(a: int, bits: int) -> tuple[tuple[int, ...], ...]:
+    """g[j][c]: the least total weight of free bits 0..j-1 below c set bits, at slope a.
+
+    Cached, since every interval query of a family reads the same O(n^2)
+    table; tuples, so no caller can change the cached value.
+    """
+    g = [(0,) * (bits + 2)]
     for t in range(bits):
         below = g[-1]
-        g.append([min(below[c], _weight(a, t, c) + below[c + 1]) for c in range(len(below) - 1)])
-    return g
+        g.append(
+            tuple(min(below[c], _weight(a, t, c) + below[c + 1]) for c in range(len(below) - 1))
+        )
+    return tuple(g)
 
 
 def _runs(spec: GraphSpec) -> tuple[tuple[int, int, int], ...]:

@@ -4,9 +4,9 @@ Vertex sets are frozensets and edges are spelled out from the definition
 (flip one bit, or flip the low n-k+1 bits when k is set), so nothing here
 shares code with the bit-mask implementation in extraconn.graphs or with
 the oracle. neighbors, edge_count, lexicographic_set and write_pbm build
-test inputs; induced_double_edges, boundary and connected are the
-references for the package's set functions, and pbm_text_by_rows for its
-P1 encoder.
+test inputs; members_mask, induced_double_edges, boundary and connected
+are the references for the package's set functions, and pbm_text_by_rows
+for its P1 encoder.
 """
 
 from __future__ import annotations
@@ -59,6 +59,15 @@ def pbm_text_by_rows(bitmap) -> str:
     for y in range(height):
         lines.append(" ".join(str(int(v)) for v in bitmap[:, y]))
     return "\n".join(lines) + "\n"
+
+
+def members_mask(spec, members) -> int:
+    """The set's mask, one member at a time: each member is checked, then its bit set."""
+    mask = 0
+    for v in members:
+        DomainError.require(v, 0, spec.num_vertices - 1, "vertex")
+        mask |= 1 << v
+    return mask
 
 
 def induced_double_edges(spec, members) -> int:

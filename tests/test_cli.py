@@ -16,6 +16,7 @@ from extraconn import (
     DomainError,
     GraphSpec,
     VerificationError,
+    boundary_size,
     lambda_at,
     lambda_profile,
     xi,
@@ -350,23 +351,33 @@ def test_verify_sample(runner):
     assert result.output.strip() == "violations: 0"
 
 
-def test_verify_exact_mismatch_exit_3(runner, monkeypatch):
+def test_verify_exact_mismatch_exit_3(monkeypatch):
     # xi_4(Q_{4,2}) = 12 lies above every later xi, so raising it by one
     # fails that row alone and leaves every suffix minimum as it was
     real = cli.xi_bruteforce_sweep
+    witnesses = {}
 
     def off_by_one(*args, **kwargs):
         results = real(*args, **kwargs)
+        witnesses.update((r.m, r.witness) for r in results)
         return [replace(r, xi_exact=r.xi_exact + 1) if r.m == 4 else r for r in results]
 
     monkeypatch.setattr(cli, "xi_bruteforce_sweep", off_by_one)
-    result = runner.invoke(main, ["verify", "--n", "4", "--family", "q2", "--mode", "exact"])
+    result = _apart_runner().invoke(main, ["verify", "--n", "4", "--family", "q2", "--mode", "exact"])
     assert result.exit_code == 3
-    lines = result.output.splitlines()
+    lines = result.stdout.splitlines()
+    assert len(lines) == 9
     assert [line for line in lines if line.endswith("FAIL")] == [
         "m=4 xi_exact=13 xi=12 lambda_exact=8 lambda=8 FAIL"
     ]
     assert lines[-1] == "7/8 PASS"
+    # stderr names the failing row and its witness, a 4-set of boundary 12
+    witness = sorted(witnesses[4])
+    assert len(witness) == 4 and boundary_size(GraphSpec(4, 2), witness) == 12
+    assert result.stderr == (
+        "verification failure: first failing row:"
+        f" m=4 xi_exact=13 xi=12 lambda_exact=8 lambda=8 witness={witness}\n"
+    )
 
 
 def _apart_runner():

@@ -135,6 +135,30 @@ def test_lambda_at_answers_every_dimension():
     assert lambda_at(top, top.half - 3) == min(xi(top, m) for m in range(top.half - 3, top.half + 1))
 
 
+def test_free_minima_table_is_cached_and_immutable():
+    # every interval query of a family reads one table per slope; tuples, so
+    # no caller can change what later queries read
+    free_minima = extraconn.extremal._free_minima
+    weight = extraconn.extremal._weight
+    assert free_minima(19, 18) is free_minima(19, 18)
+    a, bits = 7, 6
+    g = free_minima(a, bits)
+    assert type(g) is tuple and all(type(row) is tuple for row in g)
+    # g[j][c]: the least weight over every choice of the free bits 0..j-1
+    # below c set bits, each chosen bit t weighed below the chosen bits above it
+    for j in range(bits + 1):
+        for c in range(len(g[j])):
+            least = min(
+                sum(
+                    weight(a, t, c + (low >> (t + 1)).bit_count())
+                    for t in range(j)
+                    if low >> t & 1
+                )
+                for low in range(1 << j)
+            )
+            assert g[j][c] == least, (j, c)
+
+
 def _xi_values(family):
     return [xi(family, m) for m in range(1, family.half + 1)]
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import graph_reference as ref
@@ -22,7 +23,7 @@ from extraconn import (
     pbm_text,
 )
 from extraconn.errors import MAX_SET_DIMENSION
-from extraconn.graphs import mask_boundary, mask_connected
+from extraconn.graphs import _members_mask, mask_boundary, mask_connected
 
 
 def test_spec_validation():
@@ -336,3 +337,115 @@ def test_set_dimension_cap():
         boundary_size(GraphSpec(62), range(2**40))
     with pytest.raises(DomainError):
         GraphSpec(62).block_swaps
+
+
+def _require_message(v, top):
+    # the refusal of the per-member check, DomainError.require(v, 0, top, "vertex")
+    with pytest.raises(DomainError) as info:
+        DomainError.require(v, 0, top, "vertex")
+    return str(info.value)
+
+
+def _set_functions(spec):
+    return (
+        lambda members: boundary_size(spec, members),
+        lambda members: is_connected_subset(spec, members),
+        lambda members: induced_double_edge_count(spec, members),
+    )
+
+
+@pytest.mark.parametrize("bad", [True, np.int64(3), 2.0, -1, 16, 2**64, -(2**64)])
+@pytest.mark.parametrize("kind", [list, tuple, iter])
+def test_set_functions_refuse_a_bad_member_as_require_does(bad, kind):
+    # each bad member is refused with require's message, never OverflowError or TypeError
+    spec = GraphSpec(4, 2)
+    for call in _set_functions(spec):
+        with pytest.raises(DomainError) as info:
+            call(kind([1, bad, 2]))
+        assert str(info.value) == _require_message(bad, 15)
+
+
+@pytest.mark.parametrize(
+    "members,first",
+    [
+        ([1, 17, 2.0, -1], 17),
+        ((1, 2.0, 17), 2.0),
+        ((v for v in (3, -1, 2**64)), -1),
+        ((v for v in (3, np.int64(2), 99)), np.int64(2)),
+        (range(-1, 20), -1),
+        (range(-2, 5), -2),
+        (range(20, -3, -3), 20),
+        (range(2**40), 16),
+    ],
+)
+def test_set_functions_name_the_first_bad_member(members, first):
+    with pytest.raises(DomainError) as info:
+        is_connected_subset(GraphSpec(4, 2), members)
+    assert str(info.value) == _require_message(first, 15)
+
+
+def test_bad_member_past_the_first_chunk():
+    # 2^n valid members fill a whole chunk; the offender in the next is still named
+    spec = GraphSpec(4)
+    with pytest.raises(DomainError) as info:
+        boundary_size(spec, [3] * 16 + [5, 2.5, 99])
+    assert str(info.value) == _require_message(2.5, 15)
+
+
+def test_unbounded_iterator_refused():
+    # read in chunks of 2^n, so the first vertex past 2^n - 1 is refused
+    with pytest.raises(DomainError) as info:
+        is_connected_subset(GraphSpec(4, 2), itertools.count())
+    assert str(info.value) == "vertex=16 outside [0, 15]"
+
+
+@pytest.mark.parametrize(
+    "members,expected",
+    [
+        ([], ()),
+        (iter(()), ()),
+        (range(0), ()),
+        (range(7, 3), ()),
+        ([5, 5, 1, 5, 1], (1, 5)),
+        ([3] * 40 + [7], (3, 7)),
+        (range(0, 16, 3), (0, 3, 6, 9, 12, 15)),
+        (range(15, -1, -1), range(16)),
+        (range(14, 0, -5), (4, 9, 14)),
+        (range(3, 4, 2**80), (3,)),
+        (frozenset({2, 9}), (2, 9)),
+    ],
+)
+def test_members_mask_accepts(members, expected):
+    # repeats, empty sets and ranges of any step
+    assert _members_mask(GraphSpec(4, 2), members) == sum(1 << v for v in expected)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_members_mask_matches_per_member_reference(n):
+    # random lists, with repeats and at every density, and random ranges, on every family
+    rng = random.Random(9100 + n)
+    total = 1 << n
+    for k in (None, *range(1, n)):
+        spec = GraphSpec(n, k)
+        for _ in range(8):
+            members = [rng.randrange(total) for _ in range(rng.randint(0, 2 * total))]
+            assert _members_mask(spec, members) == ref.members_mask(spec, members)
+            start, stop, step = rng.randrange(total), rng.randrange(total), rng.randint(1, total)
+            segment = range(start, stop, step if start <= stop else -step)
+            assert _members_mask(spec, segment) == ref.members_mask(spec, segment)
+
+
+def test_valid_members_checked_without_a_require_per_member(monkeypatch):
+    # the array checks cost O(1) require calls, whatever the set's size
+    spec = GraphSpec(20, 2)
+    require = DomainError.require
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return require(*args)
+
+    monkeypatch.setattr(DomainError, "require", staticmethod(counting))
+    assert boundary_size(spec, range(spec.half)) == spec.half
+    assert is_connected_subset(spec, list(range(spec.half, spec.num_vertices)))
+    assert len(calls) <= 4
