@@ -16,11 +16,9 @@ table_mask is the one conversion from a 2^n byte table of members to a
 mask, for the set functions and the cut sampler. Sets are taken for
 n <= MAX_SET_DIMENSION (128 KiB per set at n = 20).
 
-The set functions take any iterable of vertices. _members_mask checks and
-marks it as arrays, one chunk of at most 2^n members at a time: a range
-by its two ends and one strided fill, anything else by a type scan, an
-int64 conversion and a min/max test. Only a chunk that fails these is
-walked member by member, to name its first bad member.
+The set functions take any iterable of vertices. _members_mask checks a
+range inside [0, 2^n) by its two ends and marks it as one strided slice;
+it walks any other iterable member by member, naming the first bad one.
 
 All functions are pure and every returned value is immutable, so they are
 safe to call concurrently.
@@ -31,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -146,60 +143,33 @@ def mask_connected(spec: GraphSpec, mask: int) -> bool:
     return not rest
 
 
-def table_mask(table: bytearray | np.ndarray) -> int:
+def table_mask(table: bytearray) -> int:
     """The mask of a byte table, bit v set when byte v is nonzero. Unchecked."""
     return int.from_bytes(np.packbits(table, bitorder="little").tobytes(), "little")
-
-
-def _mark(bits: np.ndarray, chunk: range | list, top: int) -> None:
-    """Set bits[v] = 1 for every member v of a range or a list, each an int in [0, top].
-
-    A range is checked by its two ends and filled as one strided slice. A
-    list is checked as an array: every type is int, it converts to int64
-    (an int outside int64 raises OverflowError), and its min and max lie
-    in range. A chunk that fails falls back to the per-member loop, whose
-    DomainError.require names the chunk's first bad member.
-    """
-    if isinstance(chunk, range):
-        lo, hi = sorted((chunk[0], chunk[-1]))
-        if 0 <= lo and hi <= top:
-            bits[lo : hi + 1 : abs(chunk.step)] = 1
-            return
-    elif set(map(type, chunk)) <= {int}:
-        try:
-            vertices = np.fromiter(chunk, np.int64, count=len(chunk))
-        except OverflowError:
-            pass
-        else:
-            if 0 <= vertices.min() and vertices.max() <= top:
-                bits[vertices] = 1
-                return
-    for v in chunk:
-        DomainError.require(v, 0, top, "vertex")
-        bits[v] = 1
 
 
 def _members_mask(spec: GraphSpec, members: Iterable[int]) -> int:
     """The mask of a vertex set, after checking n and every member.
 
-    Members are read in chunks of at most 2^n, each checked and marked by
-    _mark into one 2^n byte table, so an unbounded iterator fails at its
-    first vertex past 2^n - 1 in bounded memory. A range is one chunk: it
-    holds no repeats, so a bad one has a bad member among its first 2^n + 1.
-    A bad member raises the DomainError of
-    DomainError.require(v, 0, 2^n - 1, "vertex") at the first one in
-    iteration order.
+    A nonempty range whose two ends lie in [0, 2^n) is marked as one strided
+    slice, with no per-member check: its members are ints between its ends.
+    Any other iterable, and a range that leaves [0, 2^n), is walked member
+    by member, so the first bad member in iteration order raises the
+    DomainError of DomainError.require(v, 0, 2^n - 1, "vertex"), nothing past
+    it is read, and an unbounded iterator fails at its first vertex past
+    2^n - 1.
     """
     DomainError.require(spec.n, 2, MAX_SET_DIMENSION, "n")
     top = spec.num_vertices - 1
-    bits = np.zeros(spec.num_vertices, dtype=np.uint8)
-    if isinstance(members, range):
-        if members:
-            _mark(bits, members, top)
-    else:
-        stream = iter(members)
-        while chunk := list(islice(stream, spec.num_vertices)):
-            _mark(bits, chunk, top)
+    bits = bytearray(spec.num_vertices)
+    if isinstance(members, range) and members:
+        lo, hi = sorted((members[0], members[-1]))
+        if 0 <= lo and hi <= top:
+            bits[lo : hi + 1 : abs(members.step)] = b"\x01" * len(members)
+            return table_mask(bits)
+    for v in members:
+        DomainError.require(v, 0, top, "vertex")
+        bits[v] = 1
     return table_mask(bits)
 
 
