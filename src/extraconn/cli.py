@@ -6,11 +6,13 @@ blocks of BLOCK_ROWS rows, each formatted from the value arrays as one
 byte matrix, so its text is never held whole. Exit codes: 0 success,
 1 domain or I/O error, 2 usage error, 3 verification failure. All output
 is deterministic given the flags (plus the seed, where one applies), and
-stdout and --out get the same bytes.
+stdout and --out get the same bytes. Every graph command takes the option
+group _graph_options (--n, --family, --k) as one GraphSpec named spec.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -25,24 +27,11 @@ from .concentration import (
     suffix_minima,
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import _require_closed_form, ex, xi
+from .extremal import _runs, ex, xi
 from .graphs import GraphSpec, adjacency_bitmap, pbm_text
 from .oracle import sample_cuts, xi_bruteforce_sweep
 
 _FAMILY_KINDS = {"qn": None, "fqn": 1, "q2": 2}
-
-
-def _resolve_k(family: str | None, k: int | None) -> int | None:
-    """Combine --family and --k into one complement parameter."""
-    if k is not None:
-        if family is not None and _FAMILY_KINDS.get(family, k) != k:
-            raise click.UsageError(f"--family {family} conflicts with --k {k}")
-        return k
-    return _FAMILY_KINDS[family or "q2"]
-
-
-def _graph_spec(n: int, family: str | None, k: int | None) -> GraphSpec:
-    return GraphSpec(n, _resolve_k(family, k))
 
 
 def _write_output(out: str, chunks) -> None:
@@ -66,6 +55,23 @@ _family_option = click.option(
     help="Graph family: qn (plain), fqn (k=1), q2 (k=2). Default q2.",
 )
 _k_option = click.option("--k", "k", type=int, default=None, help="Complement parameter.")
+
+
+def _graph_options(command):
+    """Add --n, --family and --k, in that order, ahead of the command's own
+    options, and pass the command the graph they name as one GraphSpec, spec."""
+
+    @functools.wraps(command)
+    def with_spec(n, family, k, **kwargs):
+        if k is None:
+            k = _FAMILY_KINDS[family or "q2"]
+        elif family is not None and _FAMILY_KINDS[family] != k:
+            raise click.UsageError(f"--family {family} conflicts with --k {k}")
+        return command(spec=GraphSpec(n, k), **kwargs)
+
+    return _n_option(_family_option(_k_option(with_spec)))
+
+
 _out_option = click.option("--out", default="-", help="Output path ('-' for stdout).")
 
 
@@ -89,33 +95,27 @@ def main():
 
 
 @main.command("xi")
-@_n_option
-@_family_option
-@_k_option
+@_graph_options
 @click.option("--m", "m", type=int, required=True, help="Subset cardinality.")
-def xi_cmd(n, family, k, m):
+def xi_cmd(spec, m):
     """Minimum boundary over size-m sets with both sides connected."""
-    click.echo(str(xi(_graph_spec(n, family, k), m)))
+    click.echo(str(xi(spec, m)))
 
 
 @main.command("ex")
-@_n_option
-@_family_option
-@_k_option
+@_graph_options
 @click.option("--m", "m", type=int, required=True, help="Subset cardinality.")
-def ex_cmd(n, family, k, m):
+def ex_cmd(spec, m):
     """Twice the maximum induced edge count over size-m sets."""
-    click.echo(str(ex(_graph_spec(n, family, k), m)))
+    click.echo(str(ex(spec, m)))
 
 
 @main.command("lambda")
-@_n_option
-@_family_option
-@_k_option
+@_graph_options
 @click.option("--h", "h", type=int, required=True, help="Minimum component size.")
-def lambda_cmd(n, family, k, h):
+def lambda_cmd(spec, h):
     """Minimum cut leaving two connected components of at least h vertices."""
-    click.echo(str(lambda_at(_graph_spec(n, family, k), h)))
+    click.echo(str(lambda_at(spec, h)))
 
 
 # Rows per text block: a block's matrix is a few MiB whatever the profile size.
@@ -194,14 +194,12 @@ def _profile_chunks(profile, fmt: str):
 
 
 @main.command("profile")
-@_n_option
-@_family_option
-@_k_option
+@_graph_options
 @_out_option
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def profile_cmd(n, family, k, out, fmt):
+def profile_cmd(spec, out, fmt):
     """Full xi/lambda profile for 1 <= h <= 2^(n-1)."""
-    profile = lambda_profile(_graph_spec(n, family, k))
+    profile = lambda_profile(spec)
     _write_output(out, _profile_chunks(profile, fmt))
 
 
@@ -237,23 +235,19 @@ def ratio_cmd(n_min, n_max, out):
 
 
 @main.command("bitmap")
-@_n_option
-@_family_option
-@_k_option
+@_graph_options
 @_out_option
-def bitmap_cmd(n, family, k, out):
+def bitmap_cmd(spec, out):
     """Adjacency matrix as a plain-text portable bitmap (P1)."""
-    _write_output(out, [pbm_text(adjacency_bitmap(_graph_spec(n, family, k)))])
+    _write_output(out, [pbm_text(adjacency_bitmap(spec))])
 
 
 @main.command("verify")
-@_n_option
-@_family_option
-@_k_option
+@_graph_options
 @click.option("--mode", type=click.Choice(["exact", "sample"]), default="exact", show_default=True)
 @click.option("--samples", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def verify_cmd(n, family, k, mode, samples, seed):
+def verify_cmd(spec, mode, samples, seed):
     """Check the closed forms against graph-level ground truth.
 
     exact: exhaustive minima for every m (n <= 5); on a failure, stderr
@@ -261,8 +255,7 @@ def verify_cmd(n, family, k, mode, samples, seed):
     cuts checked against the xi lower bound (n <= 12); on a violation,
     stderr names the first violating cut.
     """
-    spec = _graph_spec(n, family, k)
-    _require_closed_form(spec)  # before the oracle or the sampler runs
+    _runs(spec)  # refuses the family before the oracle or the sampler runs
     if mode == "exact":
         half = spec.half
         results = xi_bruteforce_sweep(spec, half)

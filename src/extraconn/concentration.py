@@ -9,11 +9,11 @@ answers 4 <= n <= 62, by one formula except at n = 4; the concentration
 report takes 9 <= n <= 62.
 
 Only Q_n and Q_{n,2} have a closed form; lambda_profile and lambda_at
-refuse any other family once, after their range checks and before any
-work. A profile (n <= 26) fills every xi_m into one int64 array by xi's
-own dyadic block doublings and takes lambda as its suffix minima. A point
-query and the concentration report ask extremal for the minimum of xi over
-an interval and for its argmins, in O(n^2) steps for any n <= 62.
+refuse any other family in extremal._runs, after their range checks and
+before any work. A profile (n <= 26) fills every xi_m into one int64 array
+by xi's own dyadic block doublings and takes lambda as its suffix minima. A
+point query and the concentration report ask extremal for the minimum of xi
+over an interval and for its argmins, in O(n^2) steps for any n <= 62.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .extremal import _interval_min, _minimizers, _require_closed_form, _xi_profile
+from .extremal import _interval_min, _minimizers, _xi_profile
 from .graphs import GraphSpec
 
 
@@ -67,7 +67,6 @@ def lambda_profile(family: GraphSpec) -> XiProfile:
             f"profiles are materialized only up to n={MAX_PROFILE_DIMENSION}; "
             f"use lambda_at for point queries"
         )
-    _require_closed_form(family)
     xs = _xi_profile(family)[1:]
     lambdas = suffix_minima(xs)
     xs.flags.writeable = lambdas.flags.writeable = False
@@ -78,7 +77,6 @@ def lambda_at(family: GraphSpec, h: int) -> int:
     """lambda_h = min xi_m over h <= m <= 2^(n-1), in O(n^2) for any n <= 62,
     read off O(n) aligned dyadic blocks by extremal._interval_min."""
     DomainError.require(h, 1, family.half, "h")
-    _require_closed_form(family)
     return _interval_min(family, h, family.half)
 
 

@@ -8,13 +8,13 @@ the vertices: a base plus one _weight per set bit of m, at the slope of the
 run of _runs that holds m. A set and its complement have the same boundary,
 so ex above half is degree*m - _xi(2^n - m), with no second formula. ex and
 xi are the two entry points; each checks its arguments once and calls _xi.
-_require_closed_form is the one family check, which the profile and lambda
-entry points also call before any work. _xi_profile (unchecked) fills
-xi_0..xi_{2^(n-1)} into one int64 array for profiles by xi's own block
-doublings. It states the split of Q_{n,2}'s runs a second time, as its ex
-credit subtracted from m = 2^(n-2) on; test_profile_matches_scalar_closed_form
-pins it to _xi for n <= 16. All arithmetic is exact: values reach the
-2^(n+6) scale and no floating point is used.
+_runs is both the list of families with a closed form (Q_n, Q_{n,2}) and
+their run table; it refuses any other family before any work. _xi_profile
+fills xi_0..xi_{2^(n-1)} into one int64 array by xi's own block doublings.
+It states the split of Q_{n,2}'s runs a second time, as its ex credit past
+the first run; test_profile_matches_scalar_closed_form pins it to _xi for
+n <= 16. All arithmetic is exact: values reach the 2^(n+6) scale and no
+floating point is used.
 
 _interval_min and _minimizers (unchecked) give the minimum of xi over
 [lo, hi] and the m that attain it, without touching single values of m:
@@ -32,13 +32,6 @@ import numpy as np
 
 from .errors import DomainError
 from .graphs import GraphSpec
-
-
-def _require_closed_form(spec: GraphSpec) -> None:
-    if spec.k not in (None, 2):
-        raise DomainError(
-            f"no closed form for k={spec.k}; supported families are qn (plain) and q2 (k=2)"
-        )
 
 
 def _weight(a: int, t: int, c: int) -> int:
@@ -69,11 +62,15 @@ def _runs(spec: GraphSpec) -> tuple[tuple[int, int, int], ...]:
     m. Q_n has one run at slope degree. The segment of Q_{n,2} holds no
     complementary edge up to a quarter of the vertices and m - 2^(n-2) of
     them above, which add 2m - 2^(n-1) to ex: the slope drops by 2 and the
-    base is 2^(n-1).
+    base is 2^(n-1). No other family has a closed form: DomainError.
     """
     if spec.k is None:
         return ((spec.half, spec.degree, 0),)
-    return ((spec.half >> 1, spec.degree, 0), (spec.half, spec.degree - 2, spec.half))
+    if spec.k == 2:
+        return ((spec.half >> 1, spec.degree, 0), (spec.half, spec.degree - 2, spec.half))
+    raise DomainError(
+        f"no closed form for k={spec.k}; supported families are qn (plain) and q2 (k=2)"
+    )
 
 
 def _xi(spec: GraphSpec, m: int) -> int:
@@ -91,10 +88,11 @@ def _xi(spec: GraphSpec, m: int) -> int:
 
 
 def _xi_profile(spec: GraphSpec) -> np.ndarray:
-    """xi_0..xi_{2^(n-1)} as one int64 array, unchecked: xi(2^t + r) =
-    xi(r) + (degree - t)*2^t - 2r for r < 2^t fills each [2^t, 2^(t+1))
-    from [0, 2^t). Q_{n,2} subtracts 2*[m - 2^(n-2)]^+, its ex credit.
-    Each block is written in place from one ramp 2r, r <= 2^(n-2)."""
+    """xi_0..xi_{2^(n-1)} as one int64 array, n unchecked; _runs refuses the
+    family before any allocation. xi(2^t + r) = xi(r) + (degree - t)*2^t - 2r
+    for r < 2^t fills each [2^t, 2^(t+1)) from [0, 2^t), in place from one ramp
+    2r, r <= 2^(n-2). Q_{n,2} subtracts 2*[m - 2^(n-2)]^+ past its first run."""
+    runs = _runs(spec)
     half = spec.half
     ramp = np.arange(0, half + 1, 2, dtype=np.int64)
     out = np.zeros(half + 1, dtype=np.int64)
@@ -104,8 +102,8 @@ def _xi_profile(spec: GraphSpec) -> np.ndarray:
         block = out[size : size + low]
         np.subtract(out[:low], ramp[:low], out=block)
         block += (spec.degree - t) * size
-    if spec.k is not None:
-        out[half >> 1 :] -= ramp
+    if len(runs) > 1:
+        out[runs[0][0] :] -= ramp
     return out
 
 
@@ -158,7 +156,7 @@ def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, 
 
 def ex(spec: GraphSpec, m: int) -> int:
     """ex_m of the spec's graph for 1 <= m <= 2^n; only Q_n and Q_{n,2} have one."""
-    _require_closed_form(spec)
+    _runs(spec)  # refuses the family before m is checked
     DomainError.require(m, 1, spec.num_vertices, "m")
     return spec.degree * m - _xi(spec, min(m, spec.num_vertices - m))
 
@@ -170,5 +168,4 @@ def xi(family: GraphSpec, m: int) -> int:
     mirrored, even though ex itself extends further.
     """
     DomainError.require(m, 1, family.half, "m")
-    _require_closed_form(family)
     return _xi(family, m)

@@ -21,7 +21,7 @@ from extraconn import (
     lambda_profile,
     xi,
 )
-from extraconn import cli
+from extraconn import cli, extremal
 from extraconn.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -55,6 +55,7 @@ def test_usage_error_exit_2(runner):
 
 def test_family_without_closed_form_exit_1(runner):
     assert runner.invoke(main, ["xi", "--n", "5", "--family", "fqn", "--m", "3"]).exit_code == 1
+    assert runner.invoke(main, ["ex", "--n", "5", "--family", "fqn", "--m", "3"]).exit_code == 1
     assert runner.invoke(main, ["xi", "--n", "6", "--k", "3", "--m", "3"]).exit_code == 1
     assert runner.invoke(main, ["lambda", "--n", "6", "--k", "3", "--h", "3"]).exit_code == 1
     assert runner.invoke(main, ["profile", "--n", "6", "--k", "3"]).exit_code == 1
@@ -62,6 +63,21 @@ def test_family_without_closed_form_exit_1(runner):
         result = runner.invoke(main, ["verify", "--n", "4", "--family", "fqn", "--mode", mode])
         assert result.exit_code == 1
         assert "no closed form" in result.output
+    for k in (1, 3):
+        message = (
+            f"error: no closed form for k={k}; supported families are qn (plain) and q2 (k=2)\n"
+        )
+        graph = ["--n", "6", "--k", str(k)]
+        for args in (
+            ["xi", *graph, "--m", "3"],
+            ["ex", *graph, "--m", "3"],
+            ["lambda", *graph, "--h", "3"],
+            ["profile", *graph],
+            ["verify", *graph, "--mode", "exact"],
+            ["verify", *graph, "--mode", "sample"],
+        ):
+            result = _apart_runner().invoke(main, args)
+            assert (result.exit_code, result.stdout, result.stderr) == (1, "", message), args
 
 
 def test_family_check_runs_before_any_search(runner, monkeypatch):
@@ -79,6 +95,43 @@ def test_family_check_runs_before_any_search(runner, monkeypatch):
         lambda_at(GraphSpec(6, 3), 1)
     with pytest.raises(DomainError, match="no closed form"):
         lambda_profile(GraphSpec(6, 1))
+    with pytest.raises(DomainError, match="no closed form"):
+        extremal._xi(GraphSpec(6, 3), 5)
+    # the refusal comes before the profile's 2^25-entry arrays
+    for k in (1, 3):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="no closed form"):
+                lambda_profile(GraphSpec(26, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+# each graph command's own options, in --help order
+_GRAPH_COMMANDS = {
+    "xi": ["--m"],
+    "ex": ["--m"],
+    "lambda": ["--h"],
+    "profile": ["--out", "--format"],
+    "bitmap": ["--out"],
+    "verify": ["--mode", "--samples", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GRAPH_COMMANDS))
+def test_graph_option_group(runner, command):
+    own = {"xi": ["--m", "3"], "ex": ["--m", "3"], "lambda": ["--h", "3"]}.get(command, [])
+    conflict = _apart_runner().invoke(main, [command, "--n", "5", "--family", "qn", "--k", "2", *own])
+    assert conflict.exit_code == 2
+    assert "Error: --family qn conflicts with --k 2\n" in conflict.stderr
+    help_text = runner.invoke(main, [command, "--help"]).output
+    listed = [line.split()[0] for line in help_text.splitlines() if line.startswith("  --")]
+    assert listed == ["--n", "--family", "--k", *_GRAPH_COMMANDS[command], "--help"]
+    # only a bitmap needs no closed form
+    folded = runner.invoke(main, [command, "--n", "4", "--family", "fqn", *own])
+    assert folded.exit_code == (0 if command == "bitmap" else 1)
 
 
 def test_closed_forms_share_dimension_cap(runner):

@@ -446,7 +446,8 @@ def test_oracle_matches_formula_enhanced_n5_prefix():
 
 @pytest.mark.parametrize("k", [None, 1, 2])
 def test_pruned_search_agrees_with_plain_enumeration(k):
-    # same minima through the unpruned generator, complement filtered;
+    # same minima through the reference's unpruned enumeration, built from
+    # graph_reference and so sharing no code with the search, complement filtered;
     # Q_{4,1} has no closed form, so this is its only independent check
     spec = GraphSpec(4, k)
     everything = frozenset(range(spec.num_vertices))
@@ -454,7 +455,7 @@ def test_pruned_search_agrees_with_plain_enumeration(k):
     for m in range(1, 9):
         plain_min = min(
             ref.boundary(spec, members)
-            for members in enumerate_connected_subsets(spec, m)
+            for members in oracle_reference.connected_subsets(spec, m, DEFAULT_EXTENSION_BUDGET)
             if ref.connected(spec, everything - members)
         )
         assert results[m - 1].xi_exact == plain_min
@@ -502,12 +503,13 @@ def test_ex_bruteforce_matches_unrooted_sweep_n4(spec):
 
 @pytest.mark.parametrize("k", [None, 1, 2])
 def test_ex_bruteforce_matches_connected_enumeration_n5(k):
-    # reference: every connected set, grown from each start vertex
+    # reference: every connected set, grown from each start vertex by the
+    # reference enumeration, which shares no code with the search
     spec = GraphSpec(5, k)
     for m in range(1, 6):
         expected = max(
             ref.induced_double_edges(spec, members)
-            for members in enumerate_connected_subsets(spec, m)
+            for members in oracle_reference.connected_subsets(spec, m, DEFAULT_EXTENSION_BUDGET)
         )
         assert ex_bruteforce(spec, m) == expected
 
