@@ -2,8 +2,11 @@
 
 Subcommands expose every computation and emit the value tables, profile
 CSVs, ratio CSVs and adjacency bitmaps as files. A profile is streamed in
-blocks of BLOCK_ROWS rows, each formatted from the value arrays as one
-byte matrix, so its text is never held whole. Exit codes: 0 success,
+blocks of BLOCK_ROWS rows, so its text is never held whole. Each block is
+one byte matrix filled from the value arrays: literals copied from one
+template row, digits computed in unsigned integers, and the padding bytes
+deleted with bytes.translate. A bitmap's text is written by
+graphs.pbm_text into one byte buffer and decoded once. Exit codes: 0 success,
 1 domain or I/O error, 2 usage error, 3 verification failure. All output
 is deterministic given the flags (plus the seed, where one applies), and
 stdout and --out get the same bytes. Every graph command takes the option
@@ -130,24 +133,31 @@ def _rows_text(rows: int, parts) -> str:
 
     A part is literal bytes, a non-negative int array written in decimal,
     or a pair (table, index) that writes row index[i] of a uint8 byte table.
-    Every row fills one line of a (rows, width) uint8 matrix: literals in
-    fixed columns, numbers right-aligned behind 0 bytes. Dropping the 0
-    bytes leaves the text.
+    Every row fills one line of a (rows, width) uint8 matrix, which starts
+    as copies of one template row holding the literals in their fixed
+    columns; numbers are then written right-aligned behind 0 bytes, their
+    digits taken in uint32 when the column's maximum is below 2^32 and in
+    uint64 otherwise, as unsigned division by 10 is faster than signed.
+    Deleting the 0 bytes with bytes.translate leaves the text.
     """
-    widths = []
+    template = bytearray()
+    fills = []  # (first column, width, part) for each part not a literal
     for part in parts:
         if isinstance(part, bytes):
-            widths.append(len(part))
-        elif isinstance(part, tuple):
-            widths.append(part[0].shape[1])
+            template += part
+            continue
+        if isinstance(part, tuple):
+            width = part[0].shape[1]
         else:
-            widths.append(len(str(int(part.max()))))
-    matrix = np.zeros((rows, sum(widths)), dtype=np.uint8)
-    col = 0
-    for part, width in zip(parts, widths):
-        if isinstance(part, bytes):
-            matrix[:, col:col + width] = np.frombuffer(part, dtype=np.uint8)
-        elif isinstance(part, tuple):
+            top = int(part.max())
+            width = len(str(top))
+            part = part.astype(np.uint32 if top < 1 << 32 else np.uint64)
+        fills.append((len(template), width, part))
+        template += bytes(width)
+    matrix = np.empty((rows, len(template)), dtype=np.uint8)
+    matrix[:] = np.frombuffer(template, dtype=np.uint8)
+    for col, width, part in fills:
+        if isinstance(part, tuple):
             table, index = part
             matrix[:, col:col + width] = table[index]
         else:
@@ -161,9 +171,7 @@ def _rows_text(rows: int, parts) -> str:
                     digits[q == 0] = 0
                 matrix[:, pos] = digits
                 q = next_q
-        col += width
-    flat = matrix.ravel()
-    return str(memoryview(flat[flat != 0]), "ascii")
+    return matrix.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _profile_chunks(profile, fmt: str):

@@ -199,16 +199,19 @@ def is_connected_subset(spec: GraphSpec, members: Iterable[int]) -> bool:
 def adjacency_bitmap(spec: GraphSpec) -> np.ndarray:
     """Dense 2^n x 2^n 0/1 adjacency matrix (symmetric, zero diagonal).
 
-    Vertices index both axes in label order. Refused above n=13, where the
-    matrix would outgrow memory.
+    Vertices index both axes in label order. The matrix is stored in
+    column-major (Fortran) order: it is symmetric, so the values are those
+    of the row-major matrix, and pbm_text, which writes bitmap.T row by row,
+    reads it contiguously instead of down a power-of-two row stride.
+    Refused above n=13, where the matrix would outgrow memory.
     """
     if spec.n > MAX_BITMAP_DIMENSION:
         raise ResourceLimitError(
             f"adjacency bitmap needs n <= {MAX_BITMAP_DIMENSION}, got n={spec.n}"
         )
     v = np.arange(spec.num_vertices)[:, None]
-    bitmap = np.zeros((spec.num_vertices, spec.num_vertices), dtype=np.uint8)
-    bitmap[v, v ^ np.array(spec.generators)] = 1
+    bitmap = np.zeros((spec.num_vertices, spec.num_vertices), dtype=np.uint8, order="F")
+    bitmap[v ^ np.array(spec.generators), v] = 1
     return bitmap
 
 
@@ -217,8 +220,12 @@ def pbm_text(bitmap: np.ndarray) -> str:
 
     Line 1 is the magic "P1", line 2 is "W H", and line y+2 holds pixel row
     y as space-separated 0/1 digits, pixel (x, y) being the adjacency of
-    vertices x and y. One byte buffer holds the rows: digits in the even
-    columns, spaces between, "\n" last (a zero-width row is just "\n").
+    vertices x and y. One byte buffer holds the header and then the rows:
+    digits in the even columns, spaces between, "\n" last (a zero-width row
+    is just "\n"); it is decoded once, with no copy in between. Row y is
+    read from bitmap[:, y], so any layout is correct and a column-major
+    bitmap (as adjacency_bitmap returns) is read contiguously; a row-major
+    one is read down its row stride, which is slower.
     Anything but a 2-D bool or integer array of 0s and 1s raises
     DomainError; the cells are checked by min and max, with no copy.
     """
@@ -233,8 +240,13 @@ def pbm_text(bitmap: np.ndarray) -> str:
             f" got shape {bitmap.shape} and dtype {bitmap.dtype}"
         )
     width, height = bitmap.shape
-    buf = np.full((height, max(2 * width, 1)), ord(" "), dtype=np.uint8)
-    np.add(bitmap.T, ord("0"), out=buf[:, : 2 * width : 2], casting="unsafe")
-    buf[:, -1] = ord("\n")
-    return f"P1\n{width} {height}\n" + buf.tobytes().decode("ascii")
-
+    header = f"P1\n{width} {height}\n".encode("ascii")
+    line = max(2 * width, 1)
+    buf = np.empty(len(header) + height * line, dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    rows = buf[len(header) :].reshape(height, line)
+    # a cell and the space after it are one little-endian uint16, 0x2030 + cell;
+    # the view is unaligned when the header length is odd, which numpy allows
+    np.add(bitmap.T, np.uint16(0x2030), out=rows[:, : 2 * width].view("<u2"), casting="unsafe")
+    rows[:, -1] = ord("\n")
+    return str(memoryview(buf), "ascii")

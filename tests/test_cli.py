@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import cli_reference as ref
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -263,6 +264,54 @@ def test_profile_blocks_of_any_size(monkeypatch, block_rows):
         profile = lambda_profile(GraphSpec(n, k))
         assert _profile_text(profile, "csv") == ref.profile_csv(profile)
         assert _profile_text(profile, "json") == ref.profile_json(profile)
+
+
+def _rows_text_by_fstrings(rows, parts):
+    # reference: each row spelled part by part from Python ints and bytes
+    def cell(part, i):
+        if isinstance(part, bytes):
+            return part.decode("ascii")
+        if isinstance(part, tuple):
+            table, index = part
+            return table[index[i]].tobytes().replace(b"\0", b"").decode("ascii")
+        return f"{int(part[i])}"
+
+    return "".join(cell(part, i) for i in range(rows) for part in parts)
+
+
+_DIGIT_EDGES = [0, 9, 10, 2**32 - 1, 2**32, 2**53 + 1, 2**63 - 1]
+
+
+@pytest.mark.parametrize("top", _DIGIT_EDGES)
+def test_rows_text_digit_edge_cases(top):
+    # the column maximum picks the digit dtype: uint32 below 2^32, uint64 from
+    # 2^32 on, so top = 2^32 fails if that choice truncates
+    column = np.array([v for v in _DIGIT_EDGES if v <= top], dtype=np.int64)
+    flags = (column % 2).astype(np.uint8)
+    blocks = [
+        (len(column), [column, b",", column[::-1], b",", (cli._JSON_FLAGS, flags), b"\n"]),
+        (1, [b"[", column[-1:], b" ", column[:1], b"]\n"]),
+        (3, [b'{"h": ', b"}, "]),
+    ]
+    for rows, parts in blocks:
+        assert cli._rows_text(rows, parts) == _rows_text_by_fstrings(rows, parts)
+
+
+def test_bitmap_to_file_memory(tmp_path):
+    # the 16 MiB matrix plus at most two copies of the 32 MiB text: the byte
+    # buffer and its decoded str, then the str and the file's encoded bytes
+    out = str(tmp_path / "b.pbm")
+    main.main(args=["bitmap", "--n", "4", "--out", out], standalone_mode=False)  # imports and caches
+    tracemalloc.start()
+    try:
+        main.main(args=["bitmap", "--n", "12", "--out", out], standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = 4096 * 4096
+    text = 2 * cells  # a digit and a space or "\n" per cell
+    assert peak <= cells + 2 * text + (1 << 20)
+    assert os.path.getsize(out) == len("P1\n4096 4096\n") + text
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

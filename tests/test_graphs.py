@@ -271,11 +271,23 @@ def test_pbm_matches_row_reference(shape, dtype):
         assert pbm_text(view) == pbm_text_by_rows(view)
 
 
-@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in (None, 1, 2) if k is None or k < n])
+# n = 10, 11: rows of 1024 and 2048 bytes, the power-of-two strides a
+# row-major matrix would be read down
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 12) for k in (None, 1, 2) if k is None or k < n])
 def test_pbm_matches_row_reference_on_adjacency(n, k):
     bitmap = adjacency_bitmap(GraphSpec(n, k))
+    # symmetric and column-major, so pbm_text reads bitmap.T contiguously
+    assert np.array_equal(bitmap, bitmap.T)
+    assert bitmap.T.flags.c_contiguous
     assert pbm_text(bitmap) == pbm_text_by_rows(bitmap)
     assert pbm_text(bitmap.T) == pbm_text_by_rows(bitmap.T)
+
+
+def test_pbm_matches_row_reference_in_any_layout():
+    # odd sizes and a 13-byte header, so the uint16 cell view is unaligned
+    bitmap = np.random.default_rng(1537).integers(0, 2, size=(1000, 1537), dtype=np.uint8)
+    for view in (bitmap, np.asfortranarray(bitmap), bitmap.T):
+        assert pbm_text(view) == pbm_text_by_rows(view)
 
 
 def _reference_cases(n, rng):
