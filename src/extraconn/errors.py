@@ -3,8 +3,9 @@
 Every integer argument of a public entry point goes through
 DomainError.require: it must be a Python int (not a bool, not a float or
 a numpy integer) inside a closed range, or the call fails at once with a
-DomainError naming the argument. The caps on the size of an input live
-here too, so what the package accepts is decided in this one module.
+DomainError naming the argument. The caps on the size of an input, and on
+the work of one exhaustive search, live here too, so what the package
+accepts is decided in this one module.
 """
 
 MAX_DIMENSION = 62  # any graph or closed form
@@ -13,6 +14,7 @@ MAX_PROFILE_DIMENSION = 26  # profile of all 2^(n-1) xi values
 MAX_EXHAUSTIVE_DIMENSION = 5  # the oracle's exhaustive searches (3-bit neighbour counts: n <= 6)
 MAX_SAMPLING_DIMENSION = 12  # the cut sampler
 MAX_SET_DIMENSION = 20  # vertex sets as 2^n-bit masks (128 KiB each at n = 20)
+MAX_SEARCH_STEPS = 10**9  # extension steps of one oracle search (ResourceLimitError)
 
 
 class DomainError(ValueError):

@@ -76,12 +76,12 @@ candidates that have it. Incumbents only improve while a node is
 processed, so a skipped candidate would have failed its test anyway, and
 every survivor is still tested exactly.
 
-Every search takes an extension-step budget (default 10^9, any int >= 0)
-and raises ResourceLimitError once it is spent, so no call runs without
-bound. The rooted search counts, as one step each, the orbit-minimum
-candidates of every node it pops, whether or not the count filter skips
-them. The error states the steps taken and the largest set grown.
-The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
+Every search stops after errors.MAX_SEARCH_STEPS extension steps (10^9)
+with ResourceLimitError, so no call runs without bound; each reads the cap
+once per call. The rooted search counts, as one step each, the
+orbit-minimum candidates of every node it pops, whether or not the count
+filter skips them. The error states the steps taken and the largest set
+grown. The exhaustive searches take n <= MAX_EXHAUSTIVE_DIMENSION and the
 sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 enumerate_connected_subsets and sample_cuts check their arguments at the
 call and then return a generator.
@@ -105,12 +105,12 @@ from operator import itemgetter
 from .errors import (
     MAX_EXHAUSTIVE_DIMENSION,
     MAX_SAMPLING_DIMENSION,
+    MAX_SEARCH_STEPS,
     DomainError,
     ResourceLimitError,
 )
 from .graphs import GraphSpec, mask_boundary, mask_connected, table_mask
 
-DEFAULT_EXTENSION_BUDGET = 10**9
 SAMPLE_RETRIES = 20
 
 
@@ -134,9 +134,9 @@ class OracleResult:
     witness: frozenset[int]
 
 
-def _over_budget(limit: int, steps: int, deepest: int) -> ResourceLimitError:
+def _over_budget(steps: int, deepest: int) -> ResourceLimitError:
     return ResourceLimitError(
-        f"search exceeded the {limit} extension-step budget"
+        f"search exceeded the {MAX_SEARCH_STEPS} extension-step budget"
         f" after {steps} steps, with sets of up to {deepest} vertices grown"
     )
 
@@ -156,22 +156,16 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _check_search(spec: GraphSpec, budget: int) -> None:
-    DomainError.require(spec.n, 2, MAX_EXHAUSTIVE_DIMENSION, "n")
-    DomainError.require(budget, 0, None, "budget")
-
-
-def enumerate_connected_subsets(
-    spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET
-) -> Iterator[frozenset[int]]:
+def enumerate_connected_subsets(spec: GraphSpec, m: int) -> Iterator[frozenset[int]]:
     """Every size-m vertex set inducing a connected subgraph, once each, lazily."""
-    _check_search(spec, budget)
+    DomainError.require(spec.n, 2, MAX_EXHAUSTIVE_DIMENSION, "n")
     DomainError.require(m, 1, spec.num_vertices, "m")
-    return _connected_subsets(spec, m, budget)
+    return _connected_subsets(spec, m)
 
 
-def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozenset[int]]:
+def _connected_subsets(spec: GraphSpec, m: int) -> Iterator[frozenset[int]]:
     nbr = _neighbor_masks(spec)
+    cap = MAX_SEARCH_STEPS
     steps = deepest = 0
     for v in range(spec.num_vertices):
         if m == 1:
@@ -188,8 +182,8 @@ def _connected_subsets(spec: GraphSpec, m: int, budget: int) -> Iterator[frozens
                 wbit = ext & -ext
                 ext ^= wbit
                 steps += 1
-                if steps > budget:
-                    raise _over_budget(budget, steps - 1, deepest)
+                if steps > cap:
+                    raise _over_budget(steps - 1, deepest)
                 w = wbit.bit_length() - 1
                 grown = members + (w,)
                 if size + 1 == m:
@@ -271,7 +265,7 @@ def _at_least(c0: int, c1: int, c2: int, need: int) -> int:
 
 
 def _rooted_minima(
-    spec: GraphSpec, m_lo: int, m_max: int, budget: int, split: bool
+    spec: GraphSpec, m_lo: int, m_max: int, split: bool
 ) -> tuple[list[int], list[int | None]]:
     """(best, witness): the least boundary and a witness mask for every
     m_lo <= m <= m_max over the connected sets containing vertex 0, whose
@@ -285,6 +279,7 @@ def _rooted_minima(
     degree = spec.degree
     full = (1 << spec.num_vertices) - 1
     infinity = 1 << 62
+    cap = MAX_SEARCH_STEPS
 
     best = [-infinity] * m_lo + [infinity] * (m_max + 1 - m_lo)
     witness: list[int | None] = [None] * (m_max + 1)
@@ -323,8 +318,8 @@ def _rooted_minima(
         if size > deepest:
             deepest = size
         steps += candidates.bit_count()
-        if steps > budget:
-            raise _over_budget(budget, steps - candidates.bit_count(), deepest)
+        if steps > cap:
+            raise _over_budget(steps - candidates.bit_count(), deepest)
         grown_size = size + 1
         # a child's boundary is bound + degree - 2*(its neighbours in sub)
         todo = candidates & _at_least(c0, c1, c2, (bound + degree - limit[grown_size]) // 2 + 1)
@@ -350,9 +345,7 @@ def _rooted_minima(
     return best, witness
 
 
-def xi_bruteforce_sweep(
-    spec: GraphSpec, m_max: int, budget: int = DEFAULT_EXTENSION_BUDGET
-) -> list[OracleResult]:
+def xi_bruteforce_sweep(spec: GraphSpec, m_max: int) -> list[OracleResult]:
     """Exact minimum boundaries for every 1 <= m <= m_max, in one search.
 
     The rooted branch and bound over the connected sets grown from vertex
@@ -362,9 +355,9 @@ def xi_bruteforce_sweep(
     the minima are exact; every reported minimum is attained by the
     recorded witness, whose two sides were both checked connected.
     """
-    _check_search(spec, budget)
+    DomainError.require(spec.n, 2, MAX_EXHAUSTIVE_DIMENSION, "n")
     DomainError.require(m_max, 1, spec.half, "m_max")
-    best, witness = _rooted_minima(spec, 1, m_max, budget, split=True)
+    best, witness = _rooted_minima(spec, 1, m_max, split=True)
     results = []
     for m in range(1, m_max + 1):
         if witness[m] is None:
@@ -373,7 +366,7 @@ def xi_bruteforce_sweep(
     return results
 
 
-def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
+def ex_bruteforce(spec: GraphSpec, m: int) -> int:
     """Exact ex_m: twice the maximum induced edge count over size-m sets.
 
     A size-m set has degree*m - (its boundary) doubled induced edges, and
@@ -387,10 +380,10 @@ def ex_bruteforce(spec: GraphSpec, m: int, budget: int = DEFAULT_EXTENSION_BUDGE
     edge-isoperimetric theorem); the tests check the answers against every
     subset for every graph with n <= 4.
     """
-    _check_search(spec, budget)
+    DomainError.require(spec.n, 2, MAX_EXHAUSTIVE_DIMENSION, "n")
     DomainError.require(m, 1, spec.num_vertices, "m")
     s = min(m, spec.num_vertices - m)
-    best, _ = _rooted_minima(spec, s, s, budget, split=False)
+    best, _ = _rooted_minima(spec, s, s, split=False)
     return spec.degree * m - best[s]
 
 

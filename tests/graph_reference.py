@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from pathlib import Path
 
+import numpy as np
+
 from extraconn import DomainError, pbm_text
 from extraconn.errors import MAX_DIMENSION
 
@@ -52,12 +54,17 @@ def write_pbm(bitmap, out) -> None:
         Path(out).write_text(text)
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def pbm_text_by_rows(bitmap) -> str:
-    """P1 text built one pixel row at a time, pixel (x, y) = bitmap[x, y]."""
+    """P1 text built one pixel row at a time, pixel (x, y) = bitmap[x, y]:
+    the column's cells as bytes, each 0 or 1 turned into its digit."""
     width, height = bitmap.shape
     lines = ["P1", f"{width} {height}"]
     for y in range(height):
-        lines.append(" ".join(str(int(v)) for v in bitmap[:, y]))
+        cells = bitmap[:, y].astype(np.uint8).tobytes()
+        lines.append(" ".join(cells.translate(_DIGITS).decode("ascii")))
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,7 @@ from extraconn import (
     lambda_profile,
     xi,
 )
-from extraconn import cli, extremal
+from extraconn import cli, extremal, oracle
 from extraconn.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,6 +138,15 @@ def test_graph_option_group(runner, command):
 def test_closed_forms_share_dimension_cap(runner):
     assert runner.invoke(main, ["xi", "--n", "62", "--family", "qn", "--m", "1"]).output == "62\n"
     assert runner.invoke(main, ["xi", "--n", "63", "--family", "qn", "--m", "1"]).exit_code == 1
+
+
+def test_smallest_dimension_of_each_family():
+    # Q_{n,2} needs n >= 3, so the default family refuses n = 2 by its k; qn takes it
+    result = _apart_runner().invoke(main, ["xi", "--n", "2", "--m", "1"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "error: k=2 outside [1, 1]\n"
+    result = _apart_runner().invoke(main, ["xi", "--n", "2", "--family", "qn", "--m", "1"])
+    assert (result.exit_code, result.output) == (0, "2\n")
 
 
 def test_plain_family(runner):
@@ -479,6 +488,17 @@ def test_verify_exact_mismatch_exit_3(monkeypatch):
     assert result.stderr == (
         "verification failure: first failing row:"
         f" m=4 xi_exact=13 xi=12 lambda_exact=8 lambda=8 witness={witness}\n"
+    )
+
+
+def test_verify_exact_search_cap_exit_1(monkeypatch):
+    # the oracle's ResourceLimitError reaches the user as one error line, with no table
+    monkeypatch.setattr(oracle, "MAX_SEARCH_STEPS", 100)
+    result = _apart_runner().invoke(main, ["verify", "--n", "4", "--k", "2", "--mode", "exact"])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: search exceeded the 100 extension-step budget after 99 steps,"
+        " with sets of up to 6 vertices grown\n"
     )
 
 

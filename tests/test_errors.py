@@ -50,15 +50,8 @@ INTEGER_ARGUMENTS = [
     ("ratio_table.n_min", lambda v: ratio_table(v, 5), 4),
     ("ratio_table.n_max", lambda v: ratio_table(4, v), 4),
     ("enumerate_connected_subsets.m", lambda v: list(enumerate_connected_subsets(Q32, v)), 2),
-    (
-        "enumerate_connected_subsets.budget",
-        lambda v: list(enumerate_connected_subsets(Q32, 2, v)),
-        100,
-    ),
     ("xi_bruteforce_sweep.m_max", lambda v: xi_bruteforce_sweep(Q32, v), 2),
-    ("xi_bruteforce_sweep.budget", lambda v: xi_bruteforce_sweep(Q32, 2, v), 100),
     ("ex_bruteforce.m", lambda v: ex_bruteforce(Q32, v), 2),
-    ("ex_bruteforce.budget", lambda v: ex_bruteforce(Q32, 2, v), 100),
     ("sample_cuts.samples", lambda v: list(sample_cuts(Q32, v, 0)), 2),
     ("sample_cuts.seed", lambda v: list(sample_cuts(Q32, 2, v)), 2),
     # the closed-form references and paper-lemma helpers the tests keep in
@@ -95,11 +88,11 @@ def test_integer_arguments_refuse_other_types(call, ok):
 
 def test_require_message():
     DomainError.require(5, 1, 5, "m")
-    DomainError.require(10**30, 0, None, "budget")
+    DomainError.require(10**30, 0, None, "seed")
     with pytest.raises(DomainError, match=r"^m=6 outside \[1, 5\]$"):
         DomainError.require(6, 1, 5, "m")
-    with pytest.raises(DomainError, match=r"^budget=-1 outside \[0, inf\)$"):
-        DomainError.require(-1, 0, None, "budget")
+    with pytest.raises(DomainError, match=r"^seed=-1 outside \[0, inf\)$"):
+        DomainError.require(-1, 0, None, "seed")
     with pytest.raises(DomainError, match=r"^n=9\.0 is not an int$"):
         DomainError.require(9.0, 9, 62, "n")
     with pytest.raises(DomainError, match=r"^n=True is not an int$"):

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import re
+from contextlib import contextmanager
 from itertools import chain, combinations, islice, repeat
 from types import SimpleNamespace
 
@@ -22,9 +23,8 @@ from extraconn import (
     xi,
     xi_bruteforce_sweep,
 )
-from extraconn import oracle
+from extraconn import errors, oracle
 from extraconn.oracle import (
-    DEFAULT_EXTENSION_BUDGET,
     SAMPLE_RETRIES,
     _at_least,
     _automorphisms,
@@ -38,6 +38,14 @@ N5_SPECS = [GraphSpec(5, k) for k in (None, 1, 2, 3, 4)]
 
 def _spec_id(spec):
     return f"n{spec.n}-k{spec.k}"
+
+
+@contextmanager
+def _search_cap(steps):
+    """Run the block with the oracle's extension-step cap set to steps."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "MAX_SEARCH_STEPS", steps)
+        yield
 
 
 def test_enumerate_counts():
@@ -82,7 +90,7 @@ def _enumeration_run(sets) -> tuple[list[frozenset[int]], str | None]:
 def test_enumerate_matches_mask_reference(spec, m_max):
     # the same frozensets in the same order as the mask-and-decode enumeration
     for m in range(1, m_max + 1):
-        want = list(oracle_reference.connected_subsets(spec, m, DEFAULT_EXTENSION_BUDGET))
+        want = list(oracle_reference.connected_subsets(spec, m, errors.MAX_SEARCH_STEPS))
         assert list(enumerate_connected_subsets(spec, m)) == want
 
 
@@ -91,7 +99,8 @@ def test_enumerate_budget_matches_mask_reference():
     for budget in range(61):
         want = _enumeration_run(oracle_reference.connected_subsets(spec, 5, budget))
         assert want[1] is not None  # every budget here runs out
-        assert _enumeration_run(enumerate_connected_subsets(spec, 5, budget)) == want
+        with _search_cap(budget):
+            assert _enumeration_run(enumerate_connected_subsets(spec, 5)) == want
 
 
 def test_enumerate_rejects_large_dimension():
@@ -114,30 +123,17 @@ def test_generators_check_arguments_at_the_call():
 
 
 def test_enumerate_budget_exhaustion():
-    with pytest.raises(ResourceLimitError) as excinfo:
-        list(enumerate_connected_subsets(GraphSpec(4, 2), 5, budget=10))
+    with _search_cap(10), pytest.raises(ResourceLimitError) as excinfo:
+        list(enumerate_connected_subsets(GraphSpec(4, 2), 5))
     # 5 candidates at {0}, 4 at {0, 8}, and the 10th at the size-3 set {0, 8, 15}
     assert _over_budget_report(excinfo) == (5 + 4 + 1, 3)
 
 
-_BUDGETED = {
-    "enumerate_connected_subsets": lambda spec, budget: list(
-        enumerate_connected_subsets(spec, 2, budget)
-    ),
-    "xi_bruteforce_sweep": lambda spec, budget: xi_bruteforce_sweep(spec, 2, budget),
-    "ex_bruteforce": lambda spec, budget: ex_bruteforce(spec, 2, budget),
-}
-
-
-def test_budget_default_and_domain():
-    spec = GraphSpec(3, 2)
-    for name, call in _BUDGETED.items():
-        default = inspect.signature(getattr(extraconn, name)).parameters["budget"].default
-        assert default == DEFAULT_EXTENSION_BUDGET == 10**9
-        call(spec, default)
-        for budget in ("x", -1):
-            with pytest.raises(DomainError):
-                call(spec, budget)
+def test_search_cap_is_not_an_argument():
+    # the cap is errors.MAX_SEARCH_STEPS alone; no search takes a budget of its own
+    assert oracle.MAX_SEARCH_STEPS == errors.MAX_SEARCH_STEPS == 10**9
+    for name in ("enumerate_connected_subsets", "xi_bruteforce_sweep", "ex_bruteforce"):
+        assert "budget" not in inspect.signature(getattr(extraconn, name)).parameters
 
 
 def _over_budget_report(excinfo) -> tuple[int, int]:
@@ -148,26 +144,26 @@ def _over_budget_report(excinfo) -> tuple[int, int]:
 
 @pytest.mark.parametrize("m_max", [2, 3, 8])
 def test_sweep_zero_budget_reports_progress(m_max):
-    with pytest.raises(ResourceLimitError) as excinfo:
-        xi_bruteforce_sweep(GraphSpec(5, 2), m_max, budget=0)
+    with _search_cap(0), pytest.raises(ResourceLimitError) as excinfo:
+        xi_bruteforce_sweep(GraphSpec(5, 2), m_max)
     assert _over_budget_report(excinfo) == (0, 1)
 
 
 @pytest.mark.parametrize("m", [3, 4, 7])
 def test_ex_bruteforce_zero_budget_reports_progress(m):
-    with pytest.raises(ResourceLimitError) as excinfo:
-        ex_bruteforce(GraphSpec(5, 2), m, budget=0)
+    with _search_cap(0), pytest.raises(ResourceLimitError) as excinfo:
+        ex_bruteforce(GraphSpec(5, 2), m)
     assert _over_budget_report(excinfo) == (0, 1)
 
 
 def test_budget_overrun_reports_how_far_the_search_got():
-    with pytest.raises(ResourceLimitError) as excinfo:
-        xi_bruteforce_sweep(GraphSpec(5, 1), 9, budget=2000)
+    with _search_cap(2000), pytest.raises(ResourceLimitError) as excinfo:
+        xi_bruteforce_sweep(GraphSpec(5, 1), 9)
     steps, deepest = _over_budget_report(excinfo)
     assert 0 < steps <= 2000
     assert 2 < deepest < 9
-    with pytest.raises(ResourceLimitError) as excinfo:
-        ex_bruteforce(GraphSpec(5, 2), 8, budget=500)
+    with _search_cap(500), pytest.raises(ResourceLimitError) as excinfo:
+        ex_bruteforce(GraphSpec(5, 2), 8)
     steps, deepest = _over_budget_report(excinfo)
     assert 0 < steps <= 500
     assert 2 < deepest < 8
@@ -181,8 +177,8 @@ def test_budget_overrun_reports_how_far_the_search_got():
     # orbits {2, 4, 7}, {8}, {3, 5, 6} and {9}, so 2, 3, 8 and 9, four steps
     assert steps == 2 + 4 + 1
     # {0, 8} is pushed last and popped first: the budget runs out at {0, 1}
-    with pytest.raises(ResourceLimitError) as excinfo:
-        ex_bruteforce(spec, 3, budget=6)
+    with _search_cap(6), pytest.raises(ResourceLimitError) as excinfo:
+        ex_bruteforce(spec, 3)
     assert _over_budget_report(excinfo) == (2 + 1, 2)
 
 
@@ -213,10 +209,11 @@ def _check_against_reference(spec, m_max):
         # only what the group reference skips: same witnesses and exactly the same step
         # count as its per-candidate loop
         assert [(r.xi_exact, r.witness) for r in results] == rooted
-        assert xi_bruteforce_sweep(spec, m_max, budget=steps) == results
+        with _search_cap(steps):
+            assert xi_bruteforce_sweep(spec, m_max) == results
         if steps:
-            with pytest.raises(ResourceLimitError):
-                xi_bruteforce_sweep(spec, m_max, budget=steps - 1)
+            with _search_cap(steps - 1), pytest.raises(ResourceLimitError):
+                xi_bruteforce_sweep(spec, m_max)
 
 
 def _check_ex_against_reference(spec, m):
@@ -232,10 +229,11 @@ def _check_ex_against_reference(spec, m):
         if fill:
             xi_bruteforce_sweep(spec, fill)
         assert ex_bruteforce(spec, m) == want
-        assert ex_bruteforce(spec, m, budget=steps) == want
+        with _search_cap(steps):
+            assert ex_bruteforce(spec, m) == want
         if steps:
-            with pytest.raises(ResourceLimitError):
-                ex_bruteforce(spec, m, budget=steps - 1)
+            with _search_cap(steps - 1), pytest.raises(ResourceLimitError):
+                ex_bruteforce(spec, m)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS_UP_TO_4, ids=_spec_id)
@@ -455,7 +453,7 @@ def test_pruned_search_agrees_with_plain_enumeration(k):
     for m in range(1, 9):
         plain_min = min(
             ref.boundary(spec, members)
-            for members in oracle_reference.connected_subsets(spec, m, DEFAULT_EXTENSION_BUDGET)
+            for members in oracle_reference.connected_subsets(spec, m, errors.MAX_SEARCH_STEPS)
             if ref.connected(spec, everything - members)
         )
         assert results[m - 1].xi_exact == plain_min
@@ -509,7 +507,7 @@ def test_ex_bruteforce_matches_connected_enumeration_n5(k):
     for m in range(1, 6):
         expected = max(
             ref.induced_double_edges(spec, members)
-            for members in oracle_reference.connected_subsets(spec, m, DEFAULT_EXTENSION_BUDGET)
+            for members in oracle_reference.connected_subsets(spec, m, errors.MAX_SEARCH_STEPS)
         )
         assert ex_bruteforce(spec, m) == expected
 
