@@ -67,7 +67,11 @@ def _graph_options(command):
     @functools.wraps(command)
     def with_spec(n, family, k, **kwargs):
         if k is None:
-            k = _FAMILY_KINDS[family or "q2"]
+            family = family or "q2"
+            k = _FAMILY_KINDS[family]
+            # GraphSpec would name k, which was not passed; a bad n it names itself
+            if k is not None and 2 <= n <= k:
+                raise DomainError(f"family {family} needs n >= {k + 1}, got n={n}")
         elif family is not None and _FAMILY_KINDS[family] != k:
             raise click.UsageError(f"--family {family} conflicts with --k {k}")
         return command(spec=GraphSpec(n, k), **kwargs)

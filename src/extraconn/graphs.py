@@ -9,7 +9,12 @@ flipping the low n-k+1 bits; k=1 gives the folded hypercube.
 A vertex set is one 2^n-bit int, bit v set when vertex v is in. XOR by a
 generator maps a set to its image by a chain of block swaps (one per set
 bit of the generator), so boundaries and connectivity cost a few big-int
-operations per generator, with no per-vertex loop.
+operations per generator, with no per-vertex loop. XOR by 2^n - 1 maps v
+to 2^n - 1 - v, which reverses the set's bits: three C calls on its bytes
+(to_bytes, translate by a bit-reversal table, from_bytes in the other byte
+order). A generator with many set bits is that reversal followed by a
+swap per clear bit, so the complementary edge of Q_{n,2} costs one swap
+and that of the folded cube none.
 mask_boundary and mask_connected are the one implementation of boundary
 counting and of induced connectivity; the oracle calls them too.
 table_mask is the one conversion from a 2^n byte table of members to a
@@ -84,13 +89,20 @@ class GraphSpec:
         return dimensions if self.k is None else dimensions + (self.complement_mask,)
 
     @cached_property
-    def block_swaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each generator as a chain of (2^j, L_j) block swaps on vertex masks.
+    def block_swaps(self) -> tuple[tuple[bool, tuple[tuple[int, int], ...]], ...]:
+        """Each generator as (flip, chain): an optional bit reversal of the
+        vertex mask, then a chain of (2^j, L_j) block swaps.
 
         L_j marks the vertices with bit j clear. XOR by 2^j moves them up by
         2^j and the others down, so it maps a set S to
-        ((S & L_j) << 2^j) | ((S >> 2^j) & L_j); XOR by a generator is the
-        chain over its set bits. Needs n <= MAX_SET_DIMENSION.
+        ((S & L_j) << 2^j) | ((S >> 2^j) & L_j); XOR by a generator g is the
+        chain over its p set bits. XOR by 2^n - 1 reverses the 2^n mask bits,
+        so XOR by g is also that reversal and then the chain over the n - p
+        clear bits of g. The reversal costs about two swaps at the sizes the
+        sampler reaches, so flip is set when it saves more than two swaps
+        (2p > n + 2, which never holds at n = 2, where the 4-bit mask is not
+        a whole byte). Single-bit generators, and so all of Q_n, never flip.
+        Needs n <= MAX_SET_DIMENSION.
         """
         DomainError.require(self.n, 2, MAX_SET_DIMENSION, "n")
         swaps = []
@@ -102,15 +114,25 @@ class GraphSpec:
                 low |= low << width
                 width *= 2
             swaps.append((shift, low))
-        return tuple(
-            tuple(swaps[j] for j in range(self.n) if g >> j & 1) for g in self.generators
-        )
+        chains = []
+        for g in self.generators:
+            flip = self.n >= 3 and 2 * g.bit_count() > self.n + 2
+            bits = ~g if flip else g
+            chains.append((flip, tuple(swaps[j] for j in range(self.n) if bits >> j & 1)))
+        return tuple(chains)
+
+
+# _BITREV[b] is the byte b with its 8 bits in reverse order
+_BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _images(spec: GraphSpec, mask: int) -> Iterator[int]:
     """The masked set's image under XOR by each generator, in generator order."""
-    for chain in spec.block_swaps:
+    for flip, chain in spec.block_swaps:
         image = mask
+        if flip:  # v -> 2^n - 1 - v: byte order and bit order both reversed
+            size = spec.num_vertices >> 3
+            image = int.from_bytes(mask.to_bytes(size, "little").translate(_BITREV), "big")
         for shift, low in chain:
             image = ((image & low) << shift) | ((image >> shift) & low)
         yield image

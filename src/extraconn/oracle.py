@@ -86,11 +86,15 @@ sampler n <= MAX_SAMPLING_DIMENSION; larger inputs raise DomainError.
 enumerate_connected_subsets and sample_cuts check their arguments at the
 call and then return a generator.
 
-The sampler's walk costs a few bytecodes a step. It draws its generators
-in batches, rng.choices(generators, k=2*(target - size) + 8), steps through
-a batch until the walk ends and drops the rest. It marks visits in a 2^n
-bytearray, turned into a mask once per attempt by graphs.table_mask:
-`mask |= 1 << v` would copy the whole 2^n-bit int at every new vertex.
+The sampler's walk costs a few bytecodes a step. It draws its steps in
+batches of k = 2*(target - size) + 8 random bytes, rng.randbytes(k), turned
+into generator indices by one bytes.translate: byte b maps to b % degree,
+and the top 256 % degree byte values are deleted, so each index keeps
+exactly 256 // degree byte values and the draw is uniform. A batch
+shortened by rejection just ends early. The walk steps through a batch
+until it reaches its target or stall cap and drops the rest. It marks visits in a 2^n bytearray,
+turned into a mask once per attempt by graphs.table_mask: `mask |= 1 << v`
+would copy the whole 2^n-bit int at every new vertex.
 """
 
 from __future__ import annotations
@@ -387,6 +391,14 @@ def ex_bruteforce(spec: GraphSpec, m: int) -> int:
     return spec.degree * m - best[s]
 
 
+def _byte_draw(degree: int) -> tuple[bytes, bytes]:
+    """(index, reject) for bytes.translate: byte b maps to b % degree, and the
+    top 256 % degree byte values are deleted, so the bytes left are uniform
+    over range(degree)."""
+    keep = 256 - 256 % degree
+    return bytes(b % degree for b in range(256)), bytes(range(keep, 256))
+
+
 def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]:
     """Seeded random cuts with both sides connected.
 
@@ -396,11 +408,12 @@ def sample_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSample]
     the complement is connected too. A walk that lands on visited vertices
     64*degree*target times first is abandoned; up to SAMPLE_RETRIES
     regrowths are attempted before the sample is skipped. The generators
-    are drawn in batches by random.choices and visits are marked in a byte
-    table (see the module docstring). The generator is random.Random
-    (Mersenne Twister), and choices takes floor(random() * len), so a fixed
-    seed replays the identical stream on any platform. The seed is an
-    int >= 0 (random.Random seeds by absolute value, so a negative seed
+    are drawn in batches of random bytes, each mapped to a generator index
+    by a rejection table, and visits are marked in a byte table (see the
+    module docstring). The generator is random.Random (Mersenne Twister);
+    randint, randrange and randbytes all read its getrandbits stream, so a
+    fixed seed replays the identical samples on any platform. The seed is
+    an int >= 0 (random.Random seeds by absolute value, so a negative seed
     would replay its mirror).
     """
     DomainError.require(spec.n, 2, MAX_SAMPLING_DIMENSION, "n")
@@ -415,6 +428,7 @@ def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSampl
     full = (1 << total) - 1
     rng = random.Random(seed)
     walk_cap = 64 * spec.degree
+    index, reject = _byte_draw(spec.degree)
 
     for _ in range(samples):
         for _attempt in range(SAMPLE_RETRIES):
@@ -426,8 +440,8 @@ def _sampled_cuts(spec: GraphSpec, samples: int, seed: int) -> Iterator[CutSampl
             stalls = 0
             stall_cap = walk_cap * target
             while size < target and stalls < stall_cap:
-                for g in rng.choices(generators, k=2 * (target - size) + 8):
-                    current ^= g
+                for i in rng.randbytes(2 * (target - size) + 8).translate(index, reject):
+                    current ^= generators[i]
                     if visited[current]:
                         stalls += 1
                         if stalls == stall_cap:

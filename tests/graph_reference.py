@@ -3,10 +3,10 @@
 Vertex sets are frozensets and edges are spelled out from the definition
 (flip one bit, or flip the low n-k+1 bits when k is set), so nothing here
 shares code with the bit-mask implementation in extraconn.graphs or with
-the oracle. neighbors, edge_count, lexicographic_set and write_pbm build
-test inputs; members_mask, induced_double_edges, boundary and connected
-are the references for the package's set functions, and pbm_text_by_rows
-for its P1 encoder.
+the oracle. generators, neighbors, edge_count, lexicographic_set and
+write_pbm build test inputs; members_mask, induced_double_edges, boundary
+and connected are the references for the package's set functions, and
+pbm_text_by_rows for its P1 encoder.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ def _adjacent(spec, v: int) -> list[int]:
     if spec.k is not None:
         out.append(v ^ ((1 << (spec.n - spec.k + 1)) - 1))
     return out
+
+
+def generators(spec) -> tuple[int, ...]:
+    """The neighbours of vertex 0 in the order of the definition: the n
+    one-bit masks, then the complementary mask when k is set. u and v are
+    adjacent iff u ^ v is one of them."""
+    return tuple(_adjacent(spec, 0))
 
 
 def neighbors(spec, v: int) -> frozenset[int]:

@@ -141,10 +141,15 @@ def test_closed_forms_share_dimension_cap(runner):
 
 
 def test_smallest_dimension_of_each_family():
-    # Q_{n,2} needs n >= 3, so the default family refuses n = 2 by its k; qn takes it
+    # Q_{n,2} needs n >= 3, so the default family refuses n = 2 by its name; qn takes it
     result = _apart_runner().invoke(main, ["xi", "--n", "2", "--m", "1"])
     assert (result.exit_code, result.stdout) == (1, "")
-    assert result.stderr == "error: k=2 outside [1, 1]\n"
+    assert result.stderr == "error: family q2 needs n >= 3, got n=2\n"
+    result = _apart_runner().invoke(main, ["xi", "--n", "2", "--family", "q2", "--m", "1"])
+    assert (result.exit_code, result.stderr) == (1, "error: family q2 needs n >= 3, got n=2\n")
+    # an explicit --k is named as it was passed
+    result = _apart_runner().invoke(main, ["xi", "--n", "2", "--k", "2", "--m", "1"])
+    assert (result.exit_code, result.stderr) == (1, "error: k=2 outside [1, 1]\n")
     result = _apart_runner().invoke(main, ["xi", "--n", "2", "--family", "qn", "--m", "1"])
     assert (result.exit_code, result.output) == (0, "2\n")
 

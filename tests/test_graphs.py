@@ -23,7 +23,7 @@ from extraconn import (
     pbm_text,
 )
 from extraconn.errors import MAX_SET_DIMENSION
-from extraconn.graphs import _members_mask, mask_boundary, mask_connected
+from extraconn.graphs import _images, _members_mask, mask_boundary, mask_connected
 
 
 def test_spec_validation():
@@ -330,6 +330,39 @@ def test_set_functions_match_reference(n):
             mask = sum(1 << v for v in members)
             assert mask_boundary(spec, mask) == spec.degree * len(members) - inside
             assert mask_connected(spec, mask) == connected
+
+
+def _digits_mask(members, total):
+    """The mask of a vertex set, built as a string of binary digits."""
+    digits = ["0"] * total
+    for v in members:
+        digits[total - 1 - v] = "1"
+    return int("".join(digits), 2)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_images_match_per_vertex_reference(n):
+    # every k, so the complementary generator has every popcount 2..n and the
+    # reversal path is taken wherever it is chosen; at n = 2 the 4-bit mask
+    # is not a whole byte and must not be reversed
+    rng = random.Random(9000 + n)
+    total = 1 << n
+    cases = [frozenset(), frozenset(range(total)), frozenset(rng.sample(range(total), 3))]
+    cases += [
+        frozenset(v for v in range(total) if rng.random() < density) for density in (0.1, 0.5, 0.9)
+    ]
+    images = {}  # (case, generator): the image built vertex by vertex
+    for k in (None, *range(1, n)):
+        spec = GraphSpec(n, k)
+        if k == 1:
+            assert spec.block_swaps[-1][0] == (n >= 3)  # the folded cube's generator flips
+        for i, members in enumerate(cases):
+            expected = []
+            for g in ref.generators(spec):
+                if (i, g) not in images:
+                    images[i, g] = _digits_mask({v ^ g for v in members}, total)
+                expected.append(images[i, g])
+            assert list(_images(spec, _digits_mask(members, total))) == expected
 
 
 def test_set_dimension_cap():

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import re
+from collections import Counter
 from contextlib import contextmanager
 from itertools import chain, combinations, islice, repeat
 from types import SimpleNamespace
@@ -28,6 +29,7 @@ from extraconn.oracle import (
     SAMPLE_RETRIES,
     _at_least,
     _automorphisms,
+    _byte_draw,
     _orbit_entry,
     _stabiliser_table,
 )
@@ -545,13 +547,14 @@ def test_sample_cuts_rejects_large_dimension():
 
 class _ScriptedRandom:
     """Stands in for random.Random in the sampler: randint and randrange
-    return fixed values, and choices hands out the next k items of one
-    fixed sequence of generators."""
+    return fixed values, and randbytes hands out the next k values of one
+    fixed sequence, as bytes. A generator index is below the degree, so the
+    sampler's rejection table keeps it and maps it to itself."""
 
-    def __init__(self, target, start, draws):
+    def __init__(self, target, start, indices):
         self.target = target
         self.start = start
-        self.draws = draws
+        self.indices = indices
         self.randint_calls = 0
 
     def randint(self, a, b):
@@ -561,21 +564,28 @@ class _ScriptedRandom:
     def randrange(self, stop):
         return self.start
 
-    def choices(self, population, k):
-        return list(islice(self.draws, k))
+    def randbytes(self, k):
+        return bytes(islice(self.indices, k))
 
 
 def _script(monkeypatch, scripted):
     monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=lambda seed: scripted))
 
 
-def _generator_sequence(spec, seed):
-    """An endless seeded sequence of generators, read off the neighbours of
-    vertex 0 in the reference edge definition."""
-    generators = sorted(ref.neighbors(spec, 0))
+def _indices(spec, generators):
+    """The sampler's index of each generator, in the reference order."""
+    return map(ref.generators(spec).index, generators)
+
+
+def _generator_sequence(spec, seed, indices):
+    """An endless seeded sequence of generators, read off the reference edge
+    definition: their indices for the scripted sampler when indices is set,
+    else the generators themselves for the reference walk."""
+    generators = ref.generators(spec)
     rng = random.Random(seed)
     while True:
-        yield rng.choice(generators)
+        i = rng.randrange(len(generators))
+        yield i if indices else generators[i]
 
 
 SAMPLER_SPECS = [GraphSpec(n, k) for n in range(3, 13) for k in (None, 1, 2)]
@@ -587,11 +597,11 @@ def test_sampler_walk_matches_per_step_reference(spec, monkeypatch):
     # over the same generator sequence, from the same start to the same target
     start = spec.num_vertices - 1
     for target in sorted({2, spec.half * 3 // 4}):
-        scripted = _ScriptedRandom(target, start, _generator_sequence(spec, 1))
+        scripted = _ScriptedRandom(target, start, _generator_sequence(spec, 1, indices=True))
         _script(monkeypatch, scripted)
         first = next(sample_cuts(spec, 1, seed=0))
         mask = oracle_reference.walk(
-            start, target, _generator_sequence(spec, 1), 64 * spec.degree * target
+            start, target, _generator_sequence(spec, 1, indices=False), 64 * spec.degree * target
         )
         walked = oracle_reference.members(mask)
         # so the first attempt is the one kept
@@ -602,11 +612,49 @@ def test_sampler_walk_matches_per_step_reference(spec, monkeypatch):
         assert scripted.randint_calls == 1
 
 
+@pytest.mark.parametrize("degree", range(2, 14))
+def test_byte_draw_is_uniform(degree):
+    # degree 2 (Q_2) to 13 (Q_{12,k}): every byte value is kept or rejected once
+    index, reject = _byte_draw(degree)
+    kept = bytes(range(256)).translate(index, reject)
+    assert Counter(kept) == {i: 256 // degree for i in range(degree)}
+    assert reject == bytes(range(256 - 256 % degree, 256))
+    if degree & (degree - 1) == 0:
+        assert reject == b""
+
+
+@pytest.mark.parametrize("spec", [GraphSpec(4, 2), GraphSpec(9, 2), GraphSpec(12)], ids=_spec_id)
+def test_sampler_maps_bytes_by_the_rejection_table(spec, monkeypatch):
+    # each index i is scripted as a random byte b with b % degree == i, after
+    # a random number of rejected bytes (degrees 5, 10 and 12 have some),
+    # which the walk must skip
+    degree = spec.degree
+    keep = 256 - 256 % degree
+    rng = random.Random(spec.n)
+
+    def raw_bytes(indices):
+        for i in indices:
+            yield from (rng.randrange(keep, 256) for _ in range(rng.randrange(3)))
+            yield i + degree * rng.randrange(keep // degree)
+
+    start, target = 3, spec.half // 2
+    raw = raw_bytes(_generator_sequence(spec, 2, indices=True))
+    scripted = _ScriptedRandom(target, start, raw)
+    _script(monkeypatch, scripted)
+    first = next(sample_cuts(spec, 1, seed=0))
+    mask = oracle_reference.walk(
+        start, target, _generator_sequence(spec, 2, indices=False), 64 * degree * target
+    )
+    walked = oracle_reference.members(mask)
+    assert ref.connected(spec, frozenset(range(spec.num_vertices)) - walked)
+    assert first == extraconn.CutSample(len(walked), ref.boundary(spec, walked), True)
+
+
 def test_sampler_gives_up_after_stalls_and_retries(monkeypatch):
     # one generator only: the walk bounces between two vertices and stalls
     spec = GraphSpec(4, 2)
     target, samples = 3, 4
-    scripted = _ScriptedRandom(target, 5, repeat(1))
+    scripted = _ScriptedRandom(target, 5, _indices(spec, repeat(1)))
     _script(monkeypatch, scripted)
     assert list(sample_cuts(spec, samples, seed=0)) == []
     assert scripted.randint_calls == samples * SAMPLE_RETRIES
@@ -632,7 +680,7 @@ def test_sampler_stall_cap_is_checked_on_every_step(extra, monkeypatch):
     target = 3
     stall_cap = 64 * spec.degree * target
     prefix = [1] * (stall_cap + extra) + [2]
-    scripted = _ScriptedRandom(target, 5, chain(prefix, repeat(1)))
+    scripted = _ScriptedRandom(target, 5, _indices(spec, chain(prefix, repeat(1))))
     _script(monkeypatch, scripted)
     cuts = list(sample_cuts(spec, 1, seed=0))
     mask = oracle_reference.walk(5, target, chain(prefix, repeat(1)), stall_cap)
@@ -653,7 +701,7 @@ def test_sampler_drops_a_walk_whose_complement_is_disconnected(monkeypatch):
     walked = oracle_reference.members(oracle_reference.walk(1, 7, iter(prefix), 64 * 4 * 7))
     assert walked == {1, 2, 3, 4, 5, 8, 9}
     assert not ref.connected(spec, frozenset(range(16)) - walked)
-    scripted = _ScriptedRandom(7, 1, chain(prefix, repeat(1)))
+    scripted = _ScriptedRandom(7, 1, _indices(spec, chain(prefix, repeat(1))))
     _script(monkeypatch, scripted)
     assert list(sample_cuts(spec, 1, seed=0)) == []
     assert scripted.randint_calls == SAMPLE_RETRIES
