@@ -30,7 +30,7 @@ from .concentration import (
     suffix_minima,
 )
 from .errors import DomainError, ResourceLimitError, VerificationError
-from .extremal import _runs, ex, xi
+from .extremal import ex, xi
 from .graphs import GraphSpec, adjacency_bitmap, pbm_text
 from .oracle import sample_cuts, xi_bruteforce_sweep
 
@@ -267,12 +267,11 @@ def verify_cmd(spec, mode, samples, seed):
     cuts checked against the xi lower bound (n <= 12); on a violation,
     stderr names the first violating cut.
     """
-    _runs(spec)  # refuses the family before the oracle or the sampler runs
+    profile = lambda_profile(spec)  # refuses a family without a closed form before any search
     if mode == "exact":
         half = spec.half
         results = xi_bruteforce_sweep(spec, half)
         suffix = suffix_minima([r.xi_exact for r in results]).tolist()
-        profile = lambda_profile(spec)
         failed = []
         xs, lams = profile.xi_values.tolist(), profile.lambda_values.tolist()
         for result, x, lam, lam_exact in zip(results, xs, lams, suffix):
@@ -294,7 +293,7 @@ def verify_cmd(spec, mode, samples, seed):
         violating = [
             (cut, bound)
             for cut in sample_cuts(spec, samples, seed)
-            if cut.cut_size < (bound := xi(spec, cut.h))
+            if cut.cut_size < (bound := profile.xi_values[cut.h - 1])
         ]
         click.echo(f"violations: {len(violating)}")
         if violating:

@@ -61,11 +61,11 @@ def suffix_minima(values) -> np.ndarray:
 
 
 def lambda_profile(family: GraphSpec) -> XiProfile:
-    """Materialize xi_1..xi_{2^(n-1)} and their suffix minima as arrays."""
+    """Materialize xi_1..xi_{2^(n-1)} and their suffix minima as arrays (n <= 26;
+    lambda_at answers a single h for any n)."""
     if family.n > MAX_PROFILE_DIMENSION:
         raise ResourceLimitError(
-            f"profiles are materialized only up to n={MAX_PROFILE_DIMENSION}; "
-            f"use lambda_at for point queries"
+            f"profiles are materialized only up to n={MAX_PROFILE_DIMENSION}, got n={family.n}"
         )
     xs = _xi_profile(family)[1:]
     lambdas = suffix_minima(xs)

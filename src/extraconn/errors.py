@@ -39,7 +39,7 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A computation would exceed a configured size cap or step budget."""
+    """MAX_PROFILE_DIMENSION, MAX_BITMAP_DIMENSION or MAX_SEARCH_STEPS would be exceeded."""
 
 
 class VerificationError(RuntimeError):

@@ -9,7 +9,8 @@ run of _runs that holds m. A set and its complement have the same boundary,
 so ex above half is degree*m - _xi(2^n - m), with no second formula. ex and
 xi are the two entry points; each checks its arguments once and calls _xi.
 _runs is both the list of families with a closed form (Q_n, Q_{n,2}) and
-their run table; it refuses any other family before any work. _xi_profile
+their run table, read only by _xi, _xi_profile and _blocks: every entry
+point checks its ranges, then refuses any other family there. _xi_profile
 fills xi_0..xi_{2^(n-1)} into one int64 array by xi's own block doublings.
 It states the split of Q_{n,2}'s runs a second time, as its ex credit past
 the first run; test_profile_matches_scalar_closed_form pins it to _xi for
@@ -156,7 +157,6 @@ def _minimizers(family: GraphSpec, lo: int, hi: int, target: int) -> tuple[int, 
 
 def ex(spec: GraphSpec, m: int) -> int:
     """ex_m of the spec's graph for 1 <= m <= 2^n; only Q_n and Q_{n,2} have one."""
-    _runs(spec)  # refuses the family before m is checked
     DomainError.require(m, 1, spec.num_vertices, "m")
     return spec.degree * m - _xi(spec, min(m, spec.num_vertices - m))
 

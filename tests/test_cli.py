@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -443,6 +444,19 @@ def test_bitmap_rejects_large_n(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_profile_limit_message():
+    # verify builds its profile first, so past the profile's cap it is refused by
+    # the same one line as profile
+    for args in (
+        ["profile", "--n", "27"],
+        ["verify", "--n", "27", "--mode", "exact"],
+        ["verify", "--n", "62", "--mode", "sample"],
+    ):
+        result = _apart_runner().invoke(main, args)
+        message = f"error: profiles are materialized only up to n=26, got n={args[2]}\n"
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", message), args
+
+
 def test_unwritable_path_exit_1(runner, tmp_path):
     target = tmp_path / "missing-dir" / "out.csv"
     result = runner.invoke(main, ["profile", "--n", "4", "--out", str(target)])
@@ -549,3 +563,36 @@ def test_verify_sample_refuses_negative_seed(runner):
     )
     assert result.exit_code == 1
     assert "seed=-1 outside [0, inf)" in result.output
+
+
+def _callers(tree, name):
+    """The def around each call of `name` in a parsed module (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                if name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_cli_imports_no_private_name():
+    # the CLI reaches the package through its public names only; the family
+    # refusal lives in extremal, where _runs is read for a value
+    tree = ast.parse((SRC / "extraconn" / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+    for path in sorted((SRC / "extraconn").glob("*.py")):
+        callers = _callers(ast.parse(path.read_text()), "_runs")
+        expected = ["_xi", "_xi_profile", "_blocks"] if path.stem == "extremal" else []
+        assert sorted(set(callers)) == sorted(expected), path.name

@@ -14,7 +14,16 @@ from extremal_reference import (
 )
 from graph_reference import lexicographic_set
 
-from extraconn import DomainError, GraphSpec, ex, induced_double_edge_count, xi
+from extraconn import (
+    DomainError,
+    GraphSpec,
+    ResourceLimitError,
+    ex,
+    induced_double_edge_count,
+    lambda_at,
+    lambda_profile,
+    xi,
+)
 
 
 def test_binary_decomposition_examples():
@@ -120,17 +129,28 @@ def test_ex_enhanced_upper_range_matches_graph_counts():
 
 
 def test_refusal_order():
-    # ex refuses a family without a closed form before it checks m; xi
-    # checks m first
+    # every closed form checks its ranges first and then refuses a family
+    # without a closed form, on the way to its first value
     folded = GraphSpec(5, 1)
+    ranges = [
+        (ex, 0, r"m=0 outside \[1, 32\]"),
+        (ex, 33, r"m=33 outside \[1, 32\]"),
+        (ex, True, r"m=True is not an int"),
+        (xi, 0, r"m=0 outside \[1, 16\]"),
+        (xi, 17, r"m=17 outside \[1, 16\]"),
+        (lambda_at, 0, r"h=0 outside \[1, 16\]"),
+        (lambda_at, 17, r"h=17 outside \[1, 16\]"),
+    ]
+    for function, value, message in ranges:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            function(folded, value)
+    for function, value in ((ex, 3), (ex, 32), (xi, 3), (xi, 16), (lambda_at, 3)):
+        with pytest.raises(DomainError, match="no closed form"):
+            function(folded, value)
+    with pytest.raises(ResourceLimitError, match=r"^profiles .* up to n=26, got n=27$"):
+        lambda_profile(GraphSpec(27, 1))
     with pytest.raises(DomainError, match="no closed form"):
-        ex(folded, 0)
-    with pytest.raises(DomainError, match="no closed form"):
-        ex(folded, 3)
-    with pytest.raises(DomainError, match=r"^m=0 outside \[1, 16\]$"):
-        xi(folded, 0)
-    with pytest.raises(DomainError, match="no closed form"):
-        xi(folded, 3)
+        lambda_profile(folded)
 
 
 def test_xi_values():
