@@ -29,7 +29,7 @@ from .concentration import (
     ratio_table,
     suffix_minima,
 )
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import MAX_EXHAUSTIVE_DIMENSION, DomainError, ResourceLimitError, VerificationError
 from .extremal import ex, xi
 from .graphs import GraphSpec, adjacency_bitmap, pbm_text
 from .oracle import sample_cuts, xi_bruteforce_sweep
@@ -265,10 +265,12 @@ def verify_cmd(spec, mode, samples, seed):
     exact: exhaustive minima for every m (n <= 5); on a failure, stderr
     names the first failing row and its witness set. sample: seeded random
     cuts checked against the xi lower bound (n <= 12); on a violation,
-    stderr names the first violating cut.
+    stderr names the first violating cut. Each mode checks its own limits,
+    then the family (through the profile), then builds the table and searches.
     """
-    profile = lambda_profile(spec)  # refuses a family without a closed form before any search
     if mode == "exact":
+        DomainError.require(spec.n, 2, MAX_EXHAUSTIVE_DIMENSION, "n")  # the sweep's own check
+        profile = lambda_profile(spec)
         half = spec.half
         results = xi_bruteforce_sweep(spec, half)
         suffix = suffix_minima([r.xi_exact for r in results]).tolist()
@@ -290,11 +292,9 @@ def verify_cmd(spec, mode, samples, seed):
                 f"first failing row: {row} witness={sorted(result.witness)}", h=result.m
             )
     else:
-        violating = [
-            (cut, bound)
-            for cut in sample_cuts(spec, samples, seed)
-            if cut.cut_size < (bound := profile.xi_values[cut.h - 1])
-        ]
+        cuts = sample_cuts(spec, samples, seed)  # checks its arguments, starts no walk
+        xs = lambda_profile(spec).xi_values
+        violating = [(cut, bound) for cut in cuts if cut.cut_size < (bound := xs[cut.h - 1])]
         click.echo(f"violations: {len(violating)}")
         if violating:
             cut, bound = violating[0]

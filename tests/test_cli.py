@@ -70,25 +70,34 @@ def test_family_without_closed_form_exit_1(runner):
             f"error: no closed form for k={k}; supported families are qn (plain) and q2 (k=2)\n"
         )
         graph = ["--n", "6", "--k", str(k)]
-        for args in (
-            ["xi", *graph, "--m", "3"],
-            ["ex", *graph, "--m", "3"],
-            ["lambda", *graph, "--h", "3"],
-            ["profile", *graph],
-            ["verify", *graph, "--mode", "exact"],
-            ["verify", *graph, "--mode", "sample"],
+        small = ["--n", "5", "--k", str(k)]
+        for args, expected in (
+            (["xi", *graph, "--m", "3"], message),
+            (["ex", *graph, "--m", "3"], message),
+            (["lambda", *graph, "--h", "3"], message),
+            (["profile", *graph], message),
+            # n = 6 is past the exhaustive sweep's cap, which exact mode names first
+            (["verify", *graph, "--mode", "exact"], "error: n=6 outside [2, 5]\n"),
+            (["verify", *graph, "--mode", "sample"], message),
+            (["verify", *small, "--mode", "exact"], message),
+            (["verify", *small, "--mode", "sample"], message),
         ):
             result = _apart_runner().invoke(main, args)
-            assert (result.exit_code, result.stdout, result.stderr) == (1, "", message), args
+            assert (result.exit_code, result.stdout, result.stderr) == (1, "", expected), args
 
 
 def test_family_check_runs_before_any_search(runner, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search ran before the family check")
 
+    def unstarted(*args, **kwargs):
+        # sample mode calls the sampler for its argument checks before the
+        # family check; the walk starts at the first next()
+        yield refuse()
+
     # the Q_{5,1} exact sweep would take minutes, so it must never start
     monkeypatch.setattr(cli, "xi_bruteforce_sweep", refuse)
-    monkeypatch.setattr(cli, "sample_cuts", refuse)
+    monkeypatch.setattr(cli, "sample_cuts", unstarted)
     for mode in ("exact", "sample"):
         result = runner.invoke(main, ["verify", "--n", "5", "--family", "fqn", "--mode", mode])
         assert result.exit_code == 1
@@ -445,16 +454,61 @@ def test_bitmap_rejects_large_n(runner, tmp_path):
 
 
 def test_profile_limit_message():
-    # verify builds its profile first, so past the profile's cap it is refused by
-    # the same one line as profile
-    for args in (
-        ["profile", "--n", "27"],
-        ["verify", "--n", "27", "--mode", "exact"],
-        ["verify", "--n", "62", "--mode", "sample"],
+    # verify checks its mode's own cap on n first, which lies below the profile's
+    for args, message in (
+        (["profile", "--n", "27"], "error: profiles are materialized only up to n=26, got n=27\n"),
+        (["verify", "--n", "27", "--mode", "exact"], "error: n=27 outside [2, 5]\n"),
+        (["verify", "--n", "62", "--mode", "sample"], "error: n=62 outside [2, 12]\n"),
     ):
         result = _apart_runner().invoke(main, args)
-        message = f"error: profiles are materialized only up to n=26, got n={args[2]}\n"
         assert (result.exit_code, result.stdout, result.stderr) == (1, "", message), args
+
+
+def _refusal(args):
+    """(exit code, stdout, stderr, tracemalloc peak in bytes) of one CLI call."""
+    runner = _apart_runner()
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result.exit_code, result.stdout, result.stderr, peak
+
+
+def test_verify_names_its_limits_before_the_family():
+    # each mode checks its n range, then --samples and --seed, then the family,
+    # and only then builds its profile (0.5 GiB of arrays at n = 26)
+    fqn = ["--family", "fqn"]
+    for args, message in (
+        (["--n", "6", "--k", "1", "--mode", "exact"], "n=6 outside [2, 5]"),
+        (["--n", "13", *fqn, "--mode", "sample"], "n=13 outside [2, 12]"),
+        (["--n", "5", *fqn, "--mode", "sample", "--samples", "-1"], "samples=-1 outside [0, inf)"),
+        (["--n", "5", *fqn, "--mode", "sample", "--seed", "-1"], "seed=-1 outside [0, inf)"),
+        (["--n", "26", *fqn, "--mode", "exact"], "n=26 outside [2, 5]"),
+        (["--n", "26", *fqn, "--mode", "sample"], "n=26 outside [2, 12]"),
+    ):
+        code, out, err, peak = _refusal(["verify", *args])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), args
+        assert peak < 1 << 20, (args, peak)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "profile --n 27",
+        "bitmap --n 14",
+        "lambda --n 63 --h 1",
+        "xi --n 5 --m 17",
+        "verify --n 26 --mode exact",
+        "verify --n 26 --mode sample",
+    ],
+)
+def test_out_of_range_refused_before_allocating(args):
+    code, out, err, peak = _refusal(args.split())
+    assert (code, out) == (1, ""), err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert peak < 1 << 20, peak
 
 
 def test_unwritable_path_exit_1(runner, tmp_path):
