@@ -2,15 +2,16 @@
 
 Subcommands expose every computation and emit the value tables, profile
 CSVs, ratio CSVs and adjacency bitmaps as files. A profile is streamed in
-blocks of BLOCK_ROWS rows, so its text is never held whole. Each block is
-one byte matrix filled from the value arrays: literals copied from one
-template row, digits computed in unsigned integers, and the padding bytes
-deleted with bytes.translate. A bitmap's text is written by
-graphs.pbm_text into one byte buffer and decoded once. Exit codes: 0 success,
-1 domain or I/O error, 2 usage error, 3 verification failure. All output
-is deterministic given the flags (plus the seed, where one applies), and
-stdout and --out get the same bytes. Every graph command takes the option
-group _graph_options (--n, --family, --k) as one GraphSpec named spec.
+blocks of BLOCK_ROWS rows (see _rows_text), so its text is never held
+whole; a bitmap's text is built by graphs.pbm_text in one byte buffer.
+Exit codes: 0 success, 1 domain or I/O error, 2 usage error, 3 verification
+failure. All output is deterministic given the flags (plus the seed, where
+one applies). Every graph command takes the option group _graph_options
+(--n, --family, --k) as one GraphSpec named spec. Click only parses options:
+each command hands its text once to _write_output, the one writer (stdout,
+flushed once, or the --out file, which gets the same bytes), and
+_Main.invoke writes the one stderr line. No stream passes through click, so
+an in-process main.main(...) under redirect_stdout keeps no output alive.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ _FAMILY_KINDS = {"qn": None, "fqn": 1, "q2": 2}
 
 
 def _write_output(out: str, chunks) -> None:
-    """Write the text chunks in order to stdout ('-') or to the file `out`.
-
-    A file gets the ASCII bytes exactly as stdout does: no newline translation.
-    """
+    """Write the text chunks in order to stdout ('-'), flushed once so that it
+    comes before any stderr line, or to the file `out`, which gets the same
+    ASCII bytes: no newline translation."""
     if out == "-":
-        for chunk in chunks:
-            click.echo(chunk, nl=False)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
     else:
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.writelines(chunks)
@@ -89,10 +89,10 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except VerificationError as exc:
-            click.echo(f"verification failure: {exc}", err=True)
+            sys.stderr.write(f"verification failure: {exc}\n")
             sys.exit(3)
         except (DomainError, ResourceLimitError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            sys.stderr.write(f"error: {exc}\n")
             sys.exit(1)
 
 
@@ -106,7 +106,7 @@ def main():
 @click.option("--m", "m", type=int, required=True, help="Subset cardinality.")
 def xi_cmd(spec, m):
     """Minimum boundary over size-m sets with both sides connected."""
-    click.echo(str(xi(spec, m)))
+    _write_output("-", [f"{xi(spec, m)}\n"])
 
 
 @main.command("ex")
@@ -114,7 +114,7 @@ def xi_cmd(spec, m):
 @click.option("--m", "m", type=int, required=True, help="Subset cardinality.")
 def ex_cmd(spec, m):
     """Twice the maximum induced edge count over size-m sets."""
-    click.echo(str(ex(spec, m)))
+    _write_output("-", [f"{ex(spec, m)}\n"])
 
 
 @main.command("lambda")
@@ -122,7 +122,7 @@ def ex_cmd(spec, m):
 @click.option("--h", "h", type=int, required=True, help="Minimum component size.")
 def lambda_cmd(spec, h):
     """Minimum cut leaving two connected components of at least h vertices."""
-    click.echo(str(lambda_at(spec, h)))
+    _write_output("-", [f"{lambda_at(spec, h)}\n"])
 
 
 # Rows per text block: a block's matrix is a few MiB whatever the profile size.
@@ -219,20 +219,20 @@ def profile_cmd(spec, out, fmt):
 @_n_option
 def breakpoints_cmd(n):
     """The h values where lambda is optimal inside the constant interval."""
-    click.echo(" ".join(str(v) for v in breakpoints(n).values))
+    _write_output("-", [" ".join(str(v) for v in breakpoints(n).values) + "\n"])
 
 
 @main.command("concentration")
 @_n_option
 def concentration_cmd(n):
     """Verify and print the constant-lambda interval report (n >= 9)."""
-    report = concentration_report(n)
-    click.echo(f"n: {report.n}")
-    click.echo(f"interval: [{report.h_min}, {report.h_max}]")
-    click.echo(f"constant: {report.constant}")
-    click.echo("breakpoints: " + " ".join(str(v) for v in report.breakpoints))
-    click.echo("optimal_h: " + " ".join(str(v) for v in report.optimal_h))
-    click.echo(f"lambda_below: {report.lambda_below} (gap {report.gap})")
+    r = concentration_report(n)
+    _write_output("-", [
+        f"n: {r.n}\ninterval: [{r.h_min}, {r.h_max}]\nconstant: {r.constant}\n",
+        f"breakpoints: {' '.join(map(str, r.breakpoints))}\n",
+        f"optimal_h: {' '.join(map(str, r.optimal_h))}\n",
+        f"lambda_below: {r.lambda_below} (gap {r.gap})\n",
+    ])
 
 
 @main.command("ratio")
@@ -242,8 +242,7 @@ def concentration_cmd(n):
 def ratio_cmd(n_min, n_max, out):
     """CSV of g(n) and the truncated percentage g(n)/2^(n-1)."""
     rows = ratio_table(n_min, n_max)
-    text = "n,g,R_percent\n" + "".join(f"{r.n},{r.g},{r.display}\n" for r in rows)
-    _write_output(out, [text])
+    _write_output(out, ["n,g,R_percent\n"] + [f"{r.n},{r.g},{r.display}\n" for r in rows])
 
 
 @main.command("bitmap")
@@ -274,7 +273,7 @@ def verify_cmd(spec, mode, samples, seed):
         half = spec.half
         results = xi_bruteforce_sweep(spec, half)
         suffix = suffix_minima([r.xi_exact for r in results]).tolist()
-        failed = []
+        lines, failures, error = [], 0, None
         xs, lams = profile.xi_values.tolist(), profile.lambda_values.tolist()
         for result, x, lam, lam_exact in zip(results, xs, lams, suffix):
             row = (
@@ -282,20 +281,21 @@ def verify_cmd(spec, mode, samples, seed):
                 f"lambda_exact={lam_exact} lambda={lam}"
             )
             ok = result.xi_exact == x and lam_exact == lam
+            lines.append(f"{row} {'PASS' if ok else 'FAIL'}\n")
             if not ok:
-                failed.append((result, row))
-            click.echo(f"{row} {'PASS' if ok else 'FAIL'}")
-        click.echo(f"{half - len(failed)}/{half} PASS")
-        if failed:
-            result, row = failed[0]
-            raise VerificationError(
-                f"first failing row: {row} witness={sorted(result.witness)}", h=result.m
-            )
+                failures += 1
+                error = error or VerificationError(
+                    f"first failing row: {row} witness={sorted(result.witness)}", h=result.m
+                )
+        lines.append(f"{half - failures}/{half} PASS\n")
+        _write_output("-", lines)  # every row, then the failure
+        if error:
+            raise error
     else:
         cuts = sample_cuts(spec, samples, seed)  # checks its arguments, starts no walk
         xs = lambda_profile(spec).xi_values
         violating = [(cut, bound) for cut in cuts if cut.cut_size < (bound := xs[cut.h - 1])]
-        click.echo(f"violations: {len(violating)}")
+        _write_output("-", [f"violations: {len(violating)}\n"])
         if violating:
             cut, bound = violating[0]
             raise VerificationError(

@@ -1,10 +1,14 @@
 import ast
+import contextlib
+import gc
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -619,19 +623,29 @@ def test_verify_sample_refuses_negative_seed(runner):
     assert "seed=-1 outside [0, inf)" in result.output
 
 
-def _callers(tree, name):
-    """The def around each call of `name` in a parsed module (None at module level)."""
+def _owners(tree, match):
+    """The def around each node `match` accepts in a parsed module (None at module level)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                if name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                    found.append(owner)
+            if match(child):
+                found.append(owner)
             visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
 
     visit(tree, None)
     return found
+
+
+def _callers(tree, name):
+    """The def around each call of `name` in a parsed module (None at module level)."""
+
+    def calls(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (
+            getattr(func, "id", None), getattr(func, "attr", None))
+
+    return _owners(tree, calls)
 
 
 def test_cli_imports_no_private_name():
@@ -650,3 +664,39 @@ def test_cli_imports_no_private_name():
         callers = _callers(ast.parse(path.read_text()), "_runs")
         expected = ["_xi", "_xi_profile", "_blocks"] if path.stem == "extremal" else []
         assert sorted(set(callers)) == sorted(expected), path.name
+
+
+def test_cli_writes_through_one_writer():
+    # click parses options only: no click.echo and no print, and only
+    # _write_output touches sys.stdout, so no second output path comes back
+    tree = ast.parse((SRC / "extraconn" / "cli.py").read_text())
+    for name in ("echo", "secho", "print"):
+        assert _callers(tree, name) == [], name
+    assert not any(isinstance(node, ast.ImportFrom) and node.module in ("sys", "click")
+                   for node in ast.walk(tree))
+    uses = _owners(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("stdout", "__stdout__"))
+    assert uses and set(uses) == {"_write_output"}
+
+
+@pytest.mark.parametrize(
+    "args, redirect, text",
+    [
+        (["bitmap", "--n", "4"], contextlib.redirect_stdout, "P1\n16 16\n"),
+        (["xi", "--n", "4", "--m", "1"], contextlib.redirect_stdout, "5\n"),
+        (["xi", "--n", "4", "--m", "99"], contextlib.redirect_stderr, "error: m=99 outside [1, 8]\n"),
+    ],
+    ids=["bitmap", "xi", "xi-refused"],
+)
+def test_in_process_call_keeps_no_stream_alive(args, redirect, text):
+    # click caches a wrapper for each stream it writes to, keyed weakly but
+    # holding the stream itself; the CLI's writer hands click no stream, so
+    # a caller's buffer is free once the caller drops it
+    stream = io.StringIO()
+    with redirect(stream), contextlib.suppress(SystemExit):
+        main.main(args, prog_name="extraconn", standalone_mode=False)
+    assert stream.getvalue().startswith(text)
+    alive = weakref.ref(stream)
+    del stream
+    gc.collect()
+    assert alive() is None
