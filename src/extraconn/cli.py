@@ -17,6 +17,7 @@ an in-process main.main(...) under redirect_stdout keeps no output alive.
 from __future__ import annotations
 
 import functools
+import io
 import sys
 
 import click
@@ -41,10 +42,25 @@ _FAMILY_KINDS = {"qn": None, "fqn": 1, "q2": 2}
 def _write_output(out: str, chunks) -> None:
     """Write the text chunks in order to stdout ('-'), flushed once so that it
     comes before any stderr line, or to the file `out`, which gets the same
-    ASCII bytes: no newline translation."""
+    ASCII bytes: no newline translation.
+
+    An unbuffered stdout (python -u, PYTHONUNBUFFERED) sits on a raw file,
+    whose write may take only part of a chunk, as when the reader of a pipe
+    goes away; its text layer would drop the rest in silence. So the chunks
+    go to the raw file directly, each written to its end, and a closed pipe
+    raises at the next write, as it does through a buffered stdout.
+    """
     if out == "-":
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
+        raw = getattr(sys.stdout, "buffer", None)
+        if isinstance(raw, io.RawIOBase):
+            sys.stdout.flush()
+            for chunk in chunks:
+                data = memoryview(chunk.encode("ascii"))
+                while data:
+                    data = data[raw.write(data) :]
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
     else:
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.writelines(chunks)

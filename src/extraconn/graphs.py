@@ -8,15 +8,21 @@ flipping the low n-k+1 bits; k=1 gives the folded hypercube.
 
 A vertex set is one 2^n-bit int, bit v set when vertex v is in. XOR by a
 generator maps a set to its image by a chain of block swaps (one per set
-bit of the generator), so boundaries and connectivity cost a few big-int
-operations per generator, with no per-vertex loop. XOR by 2^n - 1 maps v
-to 2^n - 1 - v, which reverses the set's bits: three C calls on its bytes
-(to_bytes, translate by a bit-reversal table, from_bytes in the other byte
-order). A generator with many set bits is that reversal followed by a
-swap per clear bit, so the complementary edge of Q_{n,2} costs one swap
-and that of the folded cube none.
-mask_boundary and mask_connected are the one implementation of boundary
-counting and of induced connectivity; the oracle calls them too.
+bit of the generator), so an image costs a few big-int operations, with no
+per-vertex loop. XOR by 2^n - 1 maps v to 2^n - 1 - v, which reverses the
+set's bits: three C calls on its bytes (to_bytes, translate by a
+bit-reversal table, from_bytes in the other byte order). A generator with
+many set bits is that reversal followed by a swap per clear bit, so the
+complementary edge of Q_{n,2} costs one swap and that of the folded cube
+none. _image applies one generator; it is the only way either set routine
+maps a set.
+mask_boundary (one image per generator) and mask_connected are the one
+implementation of boundary counting and of induced connectivity; the
+oracle calls them too. mask_connected grows the reached set in place,
+generator after generator in a fixed cyclic order (Gauss-Seidel sweeps),
+so a sweep reaches at least as far as a breadth-first round, and stops
+after degree images in a row that add nothing: the reached set is then
+closed under every generator.
 table_mask is the one conversion from a 2^n byte table of members to a
 mask, for the set functions and the cut sampler. Sets are taken for
 n <= MAX_SET_DIMENSION (128 KiB per set at n = 20).
@@ -31,7 +37,7 @@ safe to call concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,11 +104,14 @@ class GraphSpec:
         ((S & L_j) << 2^j) | ((S >> 2^j) & L_j); XOR by a generator g is the
         chain over its p set bits. XOR by 2^n - 1 reverses the 2^n mask bits,
         so XOR by g is also that reversal and then the chain over the n - p
-        clear bits of g. The reversal costs about two swaps at the sizes the
-        sampler reaches, so flip is set when it saves more than two swaps
-        (2p > n + 2, which never holds at n = 2, where the 4-bit mask is not
-        a whole byte). Single-bit generators, and so all of Q_n, never flip.
-        Needs n <= MAX_SET_DIMENSION.
+        clear bits of g. Timed as a whole image, the reversal costs about two
+        swaps on a mask under 64 bytes and about three from there to n = 20,
+        so flip is set when it saves more than two (2p - n > 2): at
+        2p - n = 3 the two ways differ by 14 % either way or less, and at
+        2p - n = 2 the reversal loses by 4-32 %. A mask under one byte
+        (n = 2) is never reversed. Q_{n,1} (2p - n = n) flips from n = 3 and
+        Q_{n,2} (n - 2) from n = 5; single-bit generators, and so all of Q_n,
+        never flip. Needs n <= MAX_SET_DIMENSION.
         """
         DomainError.require(self.n, 2, MAX_SET_DIMENSION, "n")
         swaps = []
@@ -126,16 +135,14 @@ class GraphSpec:
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _images(spec: GraphSpec, mask: int) -> Iterator[int]:
-    """The masked set's image under XOR by each generator, in generator order."""
-    for flip, chain in spec.block_swaps:
-        image = mask
-        if flip:  # v -> 2^n - 1 - v: byte order and bit order both reversed
-            size = spec.num_vertices >> 3
-            image = int.from_bytes(mask.to_bytes(size, "little").translate(_BITREV), "big")
-        for shift, low in chain:
-            image = ((image & low) << shift) | ((image >> shift) & low)
-        yield image
+def _image(mask: int, flip: bool, chain: tuple[tuple[int, int], ...], size: int) -> int:
+    """The masked set's image under XOR by one generator, given as its
+    block_swaps entry (flip, chain); size is the mask's length in bytes."""
+    if flip:  # v -> 2^n - 1 - v: byte order and bit order both reversed
+        mask = int.from_bytes(mask.to_bytes(size, "little").translate(_BITREV), "big")
+    for shift, low in chain:
+        mask = ((mask & low) << shift) | ((mask >> shift) & low)
+    return mask
 
 
 def mask_boundary(spec: GraphSpec, mask: int) -> int:
@@ -144,25 +151,43 @@ def mask_boundary(spec: GraphSpec, mask: int) -> int:
     Each generator g pairs v with v ^ g, so sum_g |S & g(S)| counts every
     induced edge twice and the boundary is degree*|S| minus that.
     """
-    inside = sum((mask & image).bit_count() for image in _images(spec, mask))
+    size = spec.num_vertices >> 3
+    inside = sum(
+        (mask & _image(mask, flip, chain, size)).bit_count() for flip, chain in spec.block_swaps
+    )
     return spec.degree * mask.bit_count() - inside
 
 
 def mask_connected(spec: GraphSpec, mask: int) -> bool:
     """Whether the masked set induces a connected subgraph (empty: yes).
 
-    Frontier expansion from the lowest member: each round ORs the
-    generator images of the frontier and keeps the members not reached yet.
+    Gauss-Seidel sweeps from the lowest member: the generators are applied
+    in their fixed cyclic order, each one adding reach's image inside the set
+    to reach at once. A sweep covers at least one breadth-first round: a
+    vertex one step out from the reach a sweep starts with is added when its
+    generator comes up, since reach has only grown by then. The answer is
+    yes as soon as reach is the whole set, and no after degree images in a
+    row that add nothing: the order is cyclic, so those are every generator
+    applied to the same reach, which is then closed, a component short of
+    the set. The full cube is reached in n images, one per dimension.
     """
-    frontier = mask & -mask
-    rest = mask ^ frontier
-    while frontier and rest:
-        reach = 0
-        for image in _images(spec, frontier):
-            reach |= image
-        frontier = reach & rest
-        rest ^= frontier
-    return not rest
+    reach = mask & -mask
+    if reach == mask:
+        return True
+    size = spec.num_vertices >> 3
+    degree = spec.degree
+    idle = 0
+    while True:
+        for flip, chain in spec.block_swaps:
+            grown = reach | (_image(reach, flip, chain, size) & mask)
+            if grown == mask:
+                return True
+            if grown != reach:
+                reach, idle = grown, 0
+            else:
+                idle += 1
+                if idle == degree:
+                    return False
 
 
 def table_mask(table: bytearray) -> int:

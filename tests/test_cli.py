@@ -196,6 +196,27 @@ def test_python_dash_m(tmp_path):
     assert result.stdout == "64\n"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_ends_the_writer_with_one_error_line(tmp_path, unbuffered):
+    # the 2 MiB bitmap is one chunk, far past a pipe's buffer, so the writer is
+    # still writing when the reader goes away after one byte
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "extraconn", "bitmap", "--n", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    )
+    assert proc.stdout.read(1) == b"P"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
+
+
 def test_lambda_long_range_command(runner):
     result = runner.invoke(main, ["lambda", "--n", "40", "--h", "1"])
     assert result.exit_code == 0

@@ -18,12 +18,13 @@ from extraconn import (
     ResourceLimitError,
     adjacency_bitmap,
     boundary_size,
+    graphs,
     induced_double_edge_count,
     is_connected_subset,
     pbm_text,
 )
 from extraconn.errors import MAX_SET_DIMENSION
-from extraconn.graphs import _images, _members_mask, mask_boundary, mask_connected
+from extraconn.graphs import _image, _members_mask, mask_boundary, mask_connected
 
 
 def test_spec_validation():
@@ -362,7 +363,118 @@ def test_images_match_per_vertex_reference(n):
                 if (i, g) not in images:
                     images[i, g] = _digits_mask({v ^ g for v in members}, total)
                 expected.append(images[i, g])
-            assert list(_images(spec, _digits_mask(members, total))) == expected
+            mask = _digits_mask(members, total)
+            images_of_mask = [_image(mask, *swaps, total >> 3) for swaps in spec.block_swaps]
+            assert images_of_mask == expected
+
+
+def test_reversal_is_taken_where_it_saves_more_than_two_swaps():
+    # Q_n never flips, Q_{n,1} flips from n = 3, Q_{n,2} from n = 5; a
+    # complement mask with p set bits flips when 2p - n > 2, on small masks
+    # and on masks of 64 bytes and more alike
+    for n in range(2, 21):
+        assert not any(flip for flip, _ in GraphSpec(n).block_swaps)
+        assert GraphSpec(n, 1).block_swaps[-1][0] == (n >= 3)
+        if n >= 3:
+            assert GraphSpec(n, 2).block_swaps[-1][0] == (n >= 5)
+    for n in (7, 8, 13, 16):
+        flips = {2 * (n - k + 1) - n: GraphSpec(n, k).block_swaps[-1][0] for k in range(1, n)}
+        assert flips == {d: d > 2 for d in flips}
+
+
+def _snake(spec):
+    """An induced path from vertex 0 (a snake in the box), grown by taking
+    at each step the last generator, in spec's order, that keeps it induced.
+    Its steps run against the order the sweeps apply the generators in, so a
+    sweep adds few of its vertices and deciding it takes many sweeps."""
+    steps = ref.generators(spec)
+    path = [0]
+    blocked = {0}  # the path and the neighbours of all but its last vertex
+    while True:
+        v = path[-1]
+        step = next((g for g in reversed(steps) if v ^ g not in blocked), None)
+        if step is None:
+            return path
+        blocked |= {v ^ g for g in steps}
+        path.append(v ^ step)
+
+
+def _joined_subcubes(n, d):
+    """Two d-subcubes two steps apart (coordinates above d all 0, and d, d+1
+    set), and the one vertex, 2^d, that joins them."""
+    low = range(1 << d)
+    return frozenset(low) | frozenset((3 << d) | v for v in low), 1 << d
+
+
+def _stopping_cases(spec):
+    # (members, connected or None where it depends on the complementary
+    # edges): the snake and the snake cut at each interior vertex, subcubes
+    # with and without their joint, and the extreme sets
+    total = spec.num_vertices
+    path = _snake(spec)
+    cases = [(frozenset(), True), (frozenset({total - 1}), True), (frozenset(range(total)), True)]
+    cases += [(frozenset(path), True)]
+    cases += [(frozenset(path) - {v}, False) for v in path[1:-1]]
+    for d in range(1, spec.n - 1):
+        cubes, joint = _joined_subcubes(spec.n, d)
+        cases += [(cubes | {joint}, True), (cubes, False if spec.k is None else None)]
+    return cases
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sweeps_match_reference_where_the_stopping_rule_matters(n):
+    assert len(_snake(GraphSpec(n))) >= 2 * n - 1  # long enough to need many sweeps
+    for k in dict.fromkeys((None, 1, 2, n - 1)):
+        if k is not None and k >= n:
+            continue
+        spec = GraphSpec(n, k)
+        for members, expected in _stopping_cases(spec):
+            connected = ref.connected(spec, members)
+            assert connected == expected or expected is None
+            assert mask_connected(spec, ref.members_mask(spec, members)) == connected
+            assert is_connected_subset(spec, members) == connected
+
+
+def _rounds(spec, members):
+    """Breadth-first rounds from the lowest member that reach a new vertex:
+    its eccentricity within its component."""
+    seen = frontier = {min(members)}
+    rounds = 0
+    while True:
+        frontier = {u for v in frontier for u in ref.neighbors(spec, v) if u in members} - seen
+        if not frontier:
+            return rounds
+        seen = seen | frontier
+        rounds += 1
+
+
+def test_sweeps_decide_within_one_idle_sweep_of_the_bfs_rounds(monkeypatch):
+    spec = GraphSpec(12, 2)
+    calls = 0
+    image = graphs._image
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return image(*args)
+
+    monkeypatch.setattr(graphs, "_image", counted)
+    assert mask_connected(spec, (1 << spec.num_vertices) - 1)
+    assert 0 < calls <= spec.degree
+    path = _snake(spec)
+    cubes, joint = _joined_subcubes(12, 5)
+    cases = [
+        (cubes, False),  # two 5-subcubes
+        (frozenset(path) - {path[len(path) // 2]}, False),  # two halves of the snake
+        (frozenset(path), True),
+        (cubes | {joint}, True),
+    ]
+    assert _rounds(spec, cases[1][0]) >= 40
+    for members, connected in cases:
+        assert ref.connected(spec, members) == connected
+        calls = 0
+        assert mask_connected(spec, ref.members_mask(spec, members)) == connected
+        assert 0 < calls <= (_rounds(spec, members) + 1) * spec.degree
 
 
 def test_set_dimension_cap():
